@@ -12,7 +12,7 @@ import json
 import sys
 
 from .graph import Graph
-from .selection import UnionFind, is_removable
+from .selection import UnionFind, is_quasi_unicyclic, is_removable
 
 
 class CertificateError(ValueError):
@@ -142,11 +142,9 @@ def validate_result(G: Graph, result: dict) -> None:
         W = set(cert["inducing_set"])
         if len(W) != value:
             raise CertificateError("inducing set size differs from the value")
-        uf = UnionFind(G.n)
-        for u, v in G.edges:
-            if u in W and v in W:
-                if not uf.add_edge(u, v):
-                    raise CertificateError("induced subgraph is not quasi-unicyclic")
+        if not is_quasi_unicyclic(Graph(G.n, [(u, v) for u, v in G.edges
+                                              if u in W and v in W])):
+            raise CertificateError("induced subgraph is not quasi-unicyclic")
     else:
         raise CertificateError(f"unknown parameter {param!r}")
 

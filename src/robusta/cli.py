@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 import time
@@ -118,6 +119,12 @@ def _load_caps(args) -> SolverCaps:
         if not read:
             raise CliError(f"cannot read config file {args.config}")
         if parser.has_section("caps"):
+            known = {f.name for f in dataclasses.fields(SolverCaps)}
+            unknown = sorted(set(parser.options("caps")) - known)
+            if unknown:
+                raise CliError(f"unknown [caps] keys in {args.config}: "
+                               f"{', '.join(unknown)}; known keys: "
+                               f"{', '.join(sorted(known))}")
             overrides = {k: int(v) for k, v in parser.items("caps")}
             print(f"warning: overriding solver caps from {args.config}: "
                   f"{sorted(overrides)}", file=sys.stderr)

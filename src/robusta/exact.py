@@ -3,7 +3,10 @@
 Two tiers everywhere: specialized branch-and-bound searches sized for desk
 scale (the defaults below), and a brute-force oracle tier that enumerates
 every removable edge set on small instances.  The oracle is deliberately
-dumb; the test suite uses it to certify the clever searches.
+dumb; the test suite uses it to certify the clever searches.  The oracle and
+the maximal-set tier run one evaluation loop and differ only in the
+enumeration mode.  Every "is F + e still removable" test, in every tier,
+goes through `selection.RemovableSet`.
 
 Strategy notes for the robust (selection-adversarial) parameters:
 
@@ -36,8 +39,10 @@ from dataclasses import dataclass, field, asdict
 
 from .graph import Graph
 from .poly import edge_coloring_upper
-from .selection import (Edge, UnionFind, enumerate_removable_sets,
-                        is_removable, orient_with_cap, selection_from_edge_set)
+# orient_with_cap is not called here; it stays bound because
+# perfbench/tracing.py wraps exact.orient_with_cap by name.
+from .selection import (Edge, RemovableSet, UnionFind, enumerate_removable_sets,
+                        orient_with_cap, selection_from_edge_set)
 
 
 class CapExceeded(ValueError):
@@ -294,14 +299,8 @@ def _induced_edges(G: Graph, mask: int) -> list[Edge]:
 
 
 def _mask_orientable(G: Graph, mask: int, s: int) -> bool:
-    edges = _induced_edges(G, mask)
-    if s == 1:
-        uf = UnionFind(G.n)
-        return all(uf.add_edge(u, v) for u, v in edges)
-    if s == 0:
-        return not edges
-    heads, _ = orient_with_cap(G.n, edges, s)
-    return heads is not None
+    F = RemovableSet(G.n, s)
+    return all(F.push(e) for e in _induced_edges(G, mask))
 
 
 def _mask_forest(G: Graph, mask: int) -> bool:
@@ -397,44 +396,49 @@ def _require(cond: bool, what: str, n: int, cap: int):
         raise CapExceeded(f"{what}: instance size {n} exceeds cap {cap}")
 
 
-def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
-    t0 = time.perf_counter()
-    masks = G.adjacency_masks()
-    nodes = 0
+def _classical_kernel(G: Graph, which: str):
+    """(value, certificate, nodes) of the classical chi, omega, alpha, theta
+    or chi_prime of G, with no cap check.  The classical front end, the
+    enumeration tiers and the theta search all evaluate through here."""
     if which == "chi":
-        _require(G.n <= caps.chi_n, "chi", G.n, caps.chi_n)
-        value, coloring, nodes = _chromatic(G.n, masks)
-        cert = {"coloring": coloring}
-    elif which == "omega":
-        _require(G.n <= caps.omega_n, "omega", G.n, caps.omega_n)
-        clique, nodes = _max_clique(G.n, masks)
-        value, cert = max(len(clique), 1 if G.n else 0), {"clique": clique}
-    elif which == "alpha":
-        _require(G.n <= caps.alpha_n, "alpha", G.n, caps.alpha_n)
-        co = G.complement().adjacency_masks()
-        ind, nodes = _max_clique(G.n, co)
-        value, cert = max(len(ind), 1 if G.n else 0), {"independent_set": ind}
-    elif which == "theta":
-        _require(G.n <= caps.theta_n, "theta", G.n, caps.theta_n)
-        co = G.complement().adjacency_masks()
-        value, coloring, nodes = _chromatic(G.n, co)
-        cover = [[] for _ in range(value)]
+        value, coloring, nodes = _chromatic(G.n, G.adjacency_masks())
+        return value, {"coloring": coloring}, nodes
+    if which == "omega":
+        clique, nodes = _max_clique(G.n, G.adjacency_masks())
+        return max(len(clique), 1 if G.n else 0), {"clique": clique}, nodes
+    if which == "alpha":
+        ind, nodes = _max_clique(G.n, G.complement().adjacency_masks())
+        return max(len(ind), 1 if G.n else 0), {"independent_set": ind}, nodes
+    if which == "theta":
+        value, coloring, nodes = _chromatic(G.n, G.complement().adjacency_masks())
+        cover: list[list[int]] = [[] for _ in range(value)]
         for v, c in enumerate(coloring):
             cover[c].append(v)
-        cert = {"clique_cover": [sorted(c) for c in cover if c]}
-        value = len(cert["clique_cover"])
-    elif which == "chi_prime":
-        _require(G.m <= caps.chi_prime_edges, "chi_prime", G.m, caps.chi_prime_edges)
+        cover = [sorted(c) for c in cover if c]
+        return len(cover), {"clique_cover": cover}, nodes
+    if which == "chi_prime":
         value, coloring, nodes = _chi_prime(G)
-        cert = {"edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}
-    elif which == "arboricity":
+        return value, {"edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}, nodes
+    raise ValueError(f"unknown robust parameter {which!r}")
+
+
+def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
+    t0 = time.perf_counter()
+    if which == "arboricity":
         _require(G.n <= caps.arboricity_n, "arboricity", G.n, caps.arboricity_n)
         value, class_masks, nodes = _min_partition(G, lambda mask: _mask_forest(G, mask))
         cert = {"forest_partition": [sorted(_bits(c)) for c in class_masks]}
     elif which == "degeneracy":
         from .poly import degeneracy_order
         value, order = degeneracy_order(G)
-        cert = {"elimination_ordering": order}
+        cert, nodes = {"elimination_ordering": order}, 0
+    elif which in ROBUST:
+        if which == "chi_prime":
+            size, cap = G.m, caps.chi_prime_edges
+        else:
+            size, cap = G.n, getattr(caps, f"{which}_n")
+        _require(size <= cap, which, size, cap)
+        value, cert, nodes = _classical_kernel(G, which)
     else:
         raise ValueError(f"unknown classical parameter {which!r}")
     elapsed = (time.perf_counter() - t0) * 1000
@@ -526,7 +530,7 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
     visited-set over partial removals, a coverage-counting prune and a
     greedy edge-disjoint packing prune.
     """
-    edges, eid = _edge_ids(G)
+    edges = G.sorted_edges()
     n, m = G.n, len(edges)
     budget = s * n
     if not target_masks:
@@ -541,37 +545,27 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
     max_static = max(static_cov) if static_cov else 0
     all_q = (1 << len(target_masks)) - 1
     visited: set[int] = set()
-    uf = UnionFind(n) if s == 1 else None
+    F = RemovableSet(n, s)
     scan_cap = 128  # prunes stay sound when scans stop early
 
-    def rec(F: list[Edge], fmask: int, unhit: int):
+    def rec(fmask: int, unhit: int):
         counter.nodes += 1
         if unhit == 0:
-            return list(F)
-        if len(F) >= budget:
+            return list(F.edges)
+        if len(F.edges) >= budget:
             return None
         if fmask in visited:
             return None
         visited.add(fmask)
-        if s == 1:
-            def addable_test(e):
-                mark = uf.checkpoint()
-                ok = uf.add_edge(*e)
-                uf.rollback(mark)
-                return ok
-        else:
-            def addable_test(e):
-                heads, _ = orient_with_cap(n, F + [e], s)
-                return heads is not None
         addset = 0
         addable = []
         for ei in range(m):
-            if not (fmask >> ei) & 1 and addable_test(edges[ei]):
+            if not (fmask >> ei) & 1 and F.can_add(edges[ei]):
                 addset |= 1 << ei
                 addable.append(ei)
         if not addable:
             return None
-        left = budget - len(F)
+        left = budget - len(F.edges)
         n_unhit = _popcount(unhit)
         if n_unhit > left * max_static:
             return None
@@ -613,20 +607,14 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
             return None
         target_opts.sort(key=lambda ei: -static_cov[ei])
         for ei in target_opts:
-            e = edges[ei]
-            if s == 1:
-                mark = uf.checkpoint()
-                uf.add_edge(*e)
-            F.append(e)
-            res = rec(F, fmask | (1 << ei), unhit & ~per_edge[ei])
+            F.push(edges[ei])
+            res = rec(fmask | (1 << ei), unhit & ~per_edge[ei])
             F.pop()
-            if s == 1:
-                uf.rollback(mark)
             if res is not None:
                 return res
         return None
 
-    return rec([], 0, all_q)
+    return rec(0, all_q)
 
 
 def _omega_robust(G: Graph, s: int):
@@ -669,25 +657,6 @@ def _omega_robust(G: Graph, s: int):
             return v, {"removed_edges": [list(e) for e in sorted(F)],
                        "clique": clique}, counter.nodes
     raise AssertionError("decision at v = omega must succeed")
-
-
-class _ThetaCache:
-    def __init__(self, G: Graph):
-        self.G = G
-        self.memo: dict[frozenset, tuple[int, list[list[int]]]] = {}
-
-    def theta(self, removed: frozenset[Edge]):
-        got = self.memo.get(removed)
-        if got is None:
-            H = Graph(self.G.n, self.G.edges - removed)
-            co = H.complement().adjacency_masks()
-            value, coloring, _ = _chromatic(H.n, co)
-            cover: list[list[int]] = [[] for _ in range(value)]
-            for v, c in enumerate(coloring):
-                cover[c].append(v)
-            got = (value, [sorted(c) for c in cover if c])
-            self.memo[removed] = got
-        return got
 
 
 def _clique_partition_targets(G: Graph, B: int, eid: dict[Edge, int]) -> list[int]:
@@ -738,35 +707,32 @@ def _theta_robust(G: Graph, s: int):
     n = G.n
     if n == 0:
         return 0, {"removed_edges": [], "clique_cover": []}, 0
-    edges, eid = _edge_ids(G)
+    _, eid = _edge_ids(G)
     counter = _HitCounter()
 
-    def theta_cover(F: frozenset[Edge]):
-        H = Graph(n, G.edges - F)
-        value, coloring, _ = _chromatic(n, H.complement().adjacency_masks())
-        cover: list[list[int]] = [[] for _ in range(value)]
-        for v, c in enumerate(coloring):
-            cover[c].append(v)
-        return value, [sorted(c) for c in cover if c]
-
     best_F: frozenset[Edge] = frozenset()
-    best_val, best_cover = theta_cover(best_F)
+    best_val, best_cert, _ = _classical_kernel(G, "theta")
     # greedy incumbent: a maximal removable set grown in edge order
     greedy = _maximal_extension(G, s, frozenset())
-    val, cover = theta_cover(greedy)
+    val, cert, _ = _classical_kernel(Graph(n, G.edges - greedy), "theta")
     if val > best_val:
-        best_val, best_F, best_cover = val, greedy, cover
+        best_val, best_F, best_cert = val, greedy, cert
 
     while best_val < n:
         targets = _clique_partition_targets(G, best_val, eid)
-        F = _hit_all_targets(G, s, targets, counter)
-        if F is None:
+        hit = _hit_all_targets(G, s, targets, counter)
+        if hit is None:
             break
-        val, cover = theta_cover(frozenset(F))
-        assert val > best_val
-        best_val, best_F, best_cover = val, frozenset(F), cover
+        F = frozenset(hit)
+        val, cert, _ = _classical_kernel(Graph(n, G.edges - F), "theta")
+        if val <= best_val:
+            # a set meeting every best_val-class cover must raise theta;
+            # without this check the loop would re-solve the same targets
+            raise AssertionError(f"theta_{s} search: removing {sorted(F)} gives "
+                                 f"theta {val}, not above {best_val}")
+        best_val, best_F, best_cert = val, F, cert
     return best_val, {"removed_edges": [list(e) for e in sorted(best_F)],
-                      "clique_cover": best_cover}, counter.nodes
+                      "clique_cover": best_cert["clique_cover"]}, counter.nodes
 
 
 def _min_max_degree(G: Graph, s: int):
@@ -779,59 +745,55 @@ def _min_max_degree(G: Graph, s: int):
     lo = max(0, min(degs) - 2 * s)
     if m > budget:
         lo = max(lo, -(-(2 * (m - budget)) // n))
+    _, eid = _edge_ids(G)
     nodes = 0
 
     def decision(v):
         nonlocal nodes
-        visited: set[frozenset] = set()
+        visited: set[int] = set()  # edge-id masks of the sets F tried
+        F = RemovableSet(n, s)
+        residual = degs[:]  # degrees of G - F
 
-        def residual(F, x):
-            return degs[x] - sum(1 for e in F if x in e)
-
-        def rec(F: frozenset[Edge]):
+        def rec(fmask: int):
             nonlocal nodes
             nodes += 1
-            if F in visited:
+            if fmask in visited:
                 return None
-            visited.add(F)
-            over = [(residual(F, x) - v, x) for x in range(n) if residual(F, x) > v]
+            visited.add(fmask)
+            over = [(residual[x] - v, x) for x in range(n) if residual[x] > v]
             if not over:
-                return F
+                return sorted(F.edges)
             deficit = sum(d for d, _ in over)
-            if len(F) + -(-deficit // 2) > budget:
+            if len(F.edges) + -(-deficit // 2) > budget:
                 return None
             over.sort(reverse=True)
             _, x = over[0]
             cand = []
             for w in G.adj[x]:
                 e = (x, w) if x < w else (w, x)
-                if e in F:
-                    continue
-                ok, _ = _try_add(F, e)
-                if ok:
+                if not (fmask >> eid[e]) & 1 and F.can_add(e):
                     cand.append(e)
-            if len(cand) < residual(F, x) - v:
+            if len(cand) < residual[x] - v:
                 return None
             for e in cand:
-                res = rec(F | {e})
+                F.push(e)
+                residual[e[0]] -= 1
+                residual[e[1]] -= 1
+                res = rec(fmask | (1 << eid[e]))
+                residual[e[0]] += 1
+                residual[e[1]] += 1
+                F.pop()
                 if res is not None:
                     return res
             return None
 
-        def _try_add(F, e):
-            if s == 1:
-                uf = UnionFind(n)
-                return all(uf.add_edge(a, b) for a, b in list(F) + [e]), None
-            heads, _ = orient_with_cap(n, list(F) + [e], s)
-            return heads is not None, None
-
-        return rec(frozenset())
+        return rec(0)
 
     v = lo
     while True:
         F = decision(v)
         if F is not None:
-            return v, sorted(F), nodes
+            return v, F, nodes
         v += 1
 
 
@@ -842,7 +804,9 @@ def _chi_prime_robust(G: Graph, s: int):
     dstar, F0, nodes = _min_max_degree(G, s)
     if dstar == 0:
         # some removable set deletes every edge; F0 witnesses it
-        assert Graph(n, G.edges - frozenset(F0)).m == 0
+        if len(F0) != m:
+            raise AssertionError(f"chi'_{s} search: D* = 0 but the witness "
+                                 f"removes {len(F0)} of {m} edges")
         return 0, {"removed_edges": [list(e) for e in sorted(F0)],
                    "edge_coloring": []}, nodes
 
@@ -865,27 +829,7 @@ def _chi_prime_robust(G: Graph, s: int):
         return {"removed_edges": [list(e) for e in sorted(F)],
                 "edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}
 
-    uf = UnionFind(n) if s == 1 else None
-    current: list[Edge] = []
-
-    def try_push(e):
-        if s == 1:
-            mark = uf.checkpoint()
-            if uf.add_edge(*e):
-                return mark
-            uf.rollback(mark)
-            return None
-        heads, _ = orient_with_cap(n, current + [e], s)
-        return -1 if heads is not None else None
-
-    def addable(F_set, e):
-        if s == 1:
-            mark = uf.checkpoint()
-            ok = uf.add_edge(*e)
-            uf.rollback(mark)
-            return ok
-        heads, _ = orient_with_cap(n, current + [e], s)
-        return heads is not None
+    F = RemovableSet(n, s)
 
     def dfs(i: int):
         nonlocal found, nodes
@@ -894,25 +838,19 @@ def _chi_prime_robust(G: Graph, s: int):
         nodes += 1
         # degree prune: every vertex must still be reducible to <= dstar
         for x in range(n):
-            have = sum(1 for e in current if x in e)
+            have = sum(1 for e in F.edges if x in e)
             future = sum(1 for j in range(i, m) if x in edges[j])
             if degs[x] - have - future > dstar:
                 return
         if i == m:
-            F = frozenset(current)
-            for e in edges:
-                if e not in F and addable(F, e):
-                    return  # not maximal
-            found = leaf_test(F)
+            chosen = frozenset(F.edges)
+            if any(e not in chosen and F.can_add(e) for e in edges):
+                return  # not maximal
+            found = leaf_test(chosen)
             return
-        e = edges[i]
-        mark = try_push(e)
-        if mark is not None:
-            current.append(e)
+        if F.push(edges[i]):
             dfs(i + 1)
-            current.pop()
-            if s == 1:
-                uf.rollback(mark)
+            F.pop()
         dfs(i + 1)
 
     dfs(0)
@@ -922,26 +860,24 @@ def _chi_prime_robust(G: Graph, s: int):
     H = Graph(n, G.edges - F)
     coloring = edge_coloring_upper(H)
     used = len(set(coloring.values()))
-    assert used <= dstar + 1
+    if used > dstar + 1:
+        # F contains F0, so G - F has max degree <= D*; the fan-rotation
+        # colouring then uses at most D* + 1 colours
+        raise AssertionError(f"chi'_{s} search: edge colouring of G - F uses "
+                             f"{used} colours, more than D* + 1 = {dstar + 1}")
     return dstar + 1, {"removed_edges": [list(e) for e in sorted(F)],
                        "edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}, nodes
 
 
 def _maximal_extension(G: Graph, s: int, F: frozenset[Edge]) -> frozenset[Edge]:
-    out = set(F)
+    """The removable set F grown greedily, in edge order, to a maximal one."""
+    grown = RemovableSet(G.n, s)
+    for e in sorted(F):
+        grown.push(e)
     for e in G.sorted_edges():
-        if e in out:
-            continue
-        trial = sorted(out | {e})
-        if s == 1:
-            uf = UnionFind(G.n)
-            if all(uf.add_edge(a, b) for a, b in trial):
-                out.add(e)
-        else:
-            heads, _ = orient_with_cap(G.n, trial, s)
-            if heads is not None:
-                out.add(e)
-    return frozenset(out)
+        if e not in F:
+            grown.push(e)
+    return frozenset(grown.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -949,75 +885,41 @@ def _maximal_extension(G: Graph, s: int, F: frozenset[Edge]) -> frozenset[Edge]:
 # ---------------------------------------------------------------------------
 
 
-def _classical_eval(G: Graph, which: str):
-    masks = G.adjacency_masks()
-    if which == "chi":
-        v, col, _ = _chromatic(G.n, masks)
-        return v, {"coloring": col}
-    if which == "omega":
-        c, _ = _max_clique(G.n, masks)
-        return max(len(c), 1 if G.n else 0), {"clique": c}
-    if which == "alpha":
-        c, _ = _max_clique(G.n, G.complement().adjacency_masks())
-        return max(len(c), 1 if G.n else 0), {"independent_set": c}
-    if which == "theta":
-        v, col, _ = _chromatic(G.n, G.complement().adjacency_masks())
-        cover: list[list[int]] = [[] for _ in range(v)]
-        for u, c in enumerate(col):
-            cover[c].append(u)
-        cover = [sorted(c) for c in cover if c]
-        return len(cover), {"clique_cover": cover}
-    if which == "chi_prime":
-        v, col, _ = _chi_prime(G)
-        return v, {"edge_coloring": [[list(e), c] for e, c in sorted(col.items())]}
-    raise ValueError(f"unknown robust parameter {which!r}")
-
-
 _MINIMIZED = {"chi": True, "omega": True, "chi_prime": True, "alpha": False, "theta": False}
+
+
+def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
+                       edge_cap: int | None) -> ParameterResult:
+    """Best classical value over G - F for every F that
+    enumerate_removable_sets streams in `mode`; stats.nodes counts the sets."""
+    t0 = time.perf_counter()
+    minimize = _MINIMIZED[which]
+    best = None
+    count = 0
+    for F in enumerate_removable_sets(G, s, mode, edge_cap=edge_cap):
+        count += 1
+        val, cert, _ = _classical_kernel(Graph(G.n, G.edges - F), which)
+        if best is None or (val < best[0] if minimize else val > best[0]):
+            best = (val, F, cert)
+    val, F, cert = best
+    cert["removed_edges"] = [list(e) for e in sorted(F)]
+    elapsed = (time.perf_counter() - t0) * 1000
+    return ParameterResult(which, s, val, cert,
+                           {"nodes": count, "elapsed_ms": elapsed})
 
 
 def oracle_robust(G: Graph, which: str, s: int,
                   caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
     """Exhaustive enumeration over every removable set; the test oracle."""
-    t0 = time.perf_counter()
     _require(G.m <= caps.oracle_edges, "oracle", G.m, caps.oracle_edges)
-    minimize = _MINIMIZED[which]
-    best = None
-    count = 0
-    for F in enumerate_removable_sets(G, s, "all", edge_cap=caps.oracle_edges):
-        count += 1
-        H = Graph(G.n, G.edges - F)
-        val, cert = _classical_eval(H, which)
-        if best is None or (val < best[0] if minimize else val > best[0]):
-            best = (val, F, cert)
-    val, F, cert = best
-    cert = dict(cert)
-    cert["removed_edges"] = [list(e) for e in sorted(F)]
-    elapsed = (time.perf_counter() - t0) * 1000
-    return ParameterResult(which, s, val, cert,
-                           {"nodes": count, "elapsed_ms": elapsed})
+    return _enumerated_robust(G, which, s, "all", caps.oracle_edges)
 
 
 def robust_via_maximal(G: Graph, which: str, s: int,
                        caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
     """Generic solver over inclusion-maximal removable sets (monotonicity:
     removing more edges never hurts the objective)."""
-    t0 = time.perf_counter()
-    minimize = _MINIMIZED[which]
-    best = None
-    count = 0
-    for F in enumerate_removable_sets(G, s, "maximal"):
-        count += 1
-        H = Graph(G.n, G.edges - F)
-        val, cert = _classical_eval(H, which)
-        if best is None or (val < best[0] if minimize else val > best[0]):
-            best = (val, F, cert)
-    val, F, cert = best
-    cert = dict(cert)
-    cert["removed_edges"] = [list(e) for e in sorted(F)]
-    elapsed = (time.perf_counter() - t0) * 1000
-    return ParameterResult(which, s, val, cert,
-                           {"nodes": count, "elapsed_ms": elapsed})
+    return _enumerated_robust(G, which, s, "maximal", None)
 
 
 def robust_parameter(G: Graph, which: str, s: int, engine: str = "exact",

@@ -2,12 +2,16 @@
 
 The key reformulation used throughout the solvers: an edge set F is the image
 of some selection with budget s exactly when (V, F) can be oriented with
-out-degree at most s everywhere.  For s = 1 that is the quasi-unicyclic
-(pseudoforest) condition, checkable per component by comparing edge and
-vertex counts; for larger budgets we run a path-reversal orientation test.
-Searching over sparse edge sets instead of vertex-indexed selection mappings
-is what keeps the exact solvers feasible: the feasible sets form a
-downward-closed family, and a selection is reconstructed only at the end.
+out-degree at most s everywhere (Hakimi).  For s = 1 that is the
+quasi-unicyclic (pseudoforest) condition, checkable per component by
+comparing edge and vertex counts; for larger budgets it is a path-reversal
+orientation test.  `RemovableSet` is the one incremental form of this test
+that every solver uses: push an edge if F + e stays removable, pop it on
+backtrack.  `orient_with_cap` runs the same orientation from scratch and
+returns the orientation or a density witness.  Searching over sparse edge
+sets instead of vertex-indexed selection mappings is what keeps the exact
+solvers feasible: the feasible sets form a downward-closed family, and a
+selection is reconstructed only at the end.
 """
 
 from __future__ import annotations
@@ -149,16 +153,134 @@ class RemovedGraph:
 
 def is_quasi_unicyclic(G: Graph) -> bool:
     """True iff every component is a tree or unicyclic (edges <= vertices)."""
-    uf = UnionFind(G.n)
-    ok = True
-    for u, v in G.edges:
-        ok &= uf.add_edge(u, v)
-    return ok
+    F = RemovableSet(G.n, 1)
+    return all(F.push(e) for e in G.edges)
 
 
-def edge_set_is_pseudoforest(n: int, edges: Iterable[Edge]) -> bool:
-    uf = UnionFind(n)
-    return all(uf.add_edge(u, v) for u, v in edges)
+class _Orientation:
+    """An orientation with out-degree <= cap, grown one edge at a time.
+
+    Each push orients the new edge away from the endpoint of smaller
+    out-degree; if that tail goes over the cap, one breadth-first hunt along
+    directed paths finds a vertex with slack and reverses the path to it.
+    When no such vertex is reachable, the reachable set carries more than
+    cap * |set| edges (the density obstruction): the push is undone and the
+    set is kept as `witness`.  pop() only drops the last arc: that keeps
+    every out-degree within the cap, and the push test is exact from any
+    valid orientation, so the reversals need no undo.
+    """
+
+    def __init__(self, n: int, cap: int):
+        self.cap = cap
+        self.outdeg = [0] * n
+        self.tails: list[int] = []
+        self.heads: list[int] = []  # heads[i] is the head of the i-th pushed edge
+        self.out_arcs: list[set[int]] = [set() for _ in range(n)]
+        self.witness: set[int] | None = None
+
+    def push(self, u: int, v: int) -> bool:
+        outdeg, tails, heads, out_arcs = self.outdeg, self.tails, self.heads, self.out_arcs
+        cap = self.cap
+        aid = len(heads)
+        tail, head = (u, v) if outdeg[u] <= outdeg[v] else (v, u)
+        tails.append(tail)
+        heads.append(head)
+        out_arcs[tail].add(aid)
+        outdeg[tail] += 1
+        if outdeg[tail] > cap:
+            parent_arc: dict[int, int] = {}
+            visited = {tail}
+            queue = deque([tail])
+            target = None
+            while queue and target is None:
+                x = queue.popleft()
+                for a in out_arcs[x]:
+                    y = heads[a]
+                    if y in visited:
+                        continue
+                    visited.add(y)
+                    parent_arc[y] = a
+                    if outdeg[y] < cap:
+                        target = y
+                        break
+                    queue.append(y)
+            if target is None:
+                self.witness = visited
+                self.pop()
+                return False
+            y = target
+            while y != tail:
+                a = parent_arc[y]
+                t = tails[a]
+                out_arcs[t].discard(a)
+                outdeg[t] -= 1
+                tails[a], heads[a] = y, t
+                out_arcs[y].add(a)
+                outdeg[y] += 1
+                y = t
+        return True
+
+    def pop(self) -> None:
+        aid = len(self.heads) - 1
+        tail = self.tails.pop()
+        self.heads.pop()
+        self.out_arcs[tail].discard(aid)
+        self.outdeg[tail] -= 1
+
+
+class RemovableSet:
+    """A growing edge set F kept removable at budget s, with undo.
+
+    F is removable (the edge image of some s-selection) iff F can be oriented
+    with out-degree <= s (Hakimi).  push(e) adds e and returns True when F + e
+    is still removable, and otherwise returns False leaving F unchanged; pop()
+    removes the last pushed edge; can_add(e) asks without changing F.  The
+    budget picks the test: for s = 1 the rollback UnionFind (pseudoforest:
+    every component keeps edges <= vertices), for s >= 2 one path-reversal
+    step of an incremental orientation per push, and at s = 0 no edge is
+    removable.  `edges` lists F in push order.
+    """
+
+    def __init__(self, n: int, s: int):
+        if s < 0:
+            raise ValueError("budget must be non-negative")
+        self.edges: list[Edge] = []
+        self._uf = UnionFind(n) if s == 1 else None
+        self._marks: list[int] = []
+        self._orientation = _Orientation(n, s) if s >= 2 else None
+
+    def push(self, e: Edge) -> bool:
+        uf = self._uf
+        if uf is not None:
+            mark = uf.checkpoint()
+            if not uf.add_edge(*e):
+                uf.rollback(mark)
+                return False
+            self._marks.append(mark)
+        elif self._orientation is None or not self._orientation.push(*e):
+            return False
+        self.edges.append(e)
+        return True
+
+    def pop(self) -> Edge:
+        if self._uf is not None:
+            self._uf.rollback(self._marks.pop())
+        else:
+            self._orientation.pop()
+        return self.edges.pop()
+
+    def can_add(self, e: Edge) -> bool:
+        uf = self._uf
+        if uf is not None:
+            # the hot test of the s = 1 searches: skip push's bookkeeping
+            mark = uf.checkpoint()
+            ok = uf.add_edge(*e)
+            uf.rollback(mark)
+            return ok
+        if not self.push(e):
+            return False
+        self.pop()
+        return True
 
 
 def orient_with_cap(n: int, edges: Sequence[Edge], cap: int):
@@ -174,48 +296,11 @@ def orient_with_cap(n: int, edges: Sequence[Edge], cap: int):
         if not edges:
             return [], None
         return None, sorted({v for e in edges for v in e})
-    outdeg = [0] * n
-    tails = [0] * len(edges)
-    heads = [0] * len(edges)
-    out_arcs: list[set[int]] = [set() for _ in range(n)]
-
-    for eid, (u, v) in enumerate(edges):
-        tail, head = (u, v) if outdeg[u] <= outdeg[v] else (v, u)
-        tails[eid], heads[eid] = tail, head
-        out_arcs[tail].add(eid)
-        outdeg[tail] += 1
-        while outdeg[tail] > cap:
-            # hunt for slack along directed paths; reverse to rebalance
-            parent_arc: dict[int, int] = {}
-            visited = {tail}
-            queue = deque([tail])
-            target = None
-            while queue and target is None:
-                x = queue.popleft()
-                for aid in out_arcs[x]:
-                    y = heads[aid]
-                    if y in visited:
-                        continue
-                    visited.add(y)
-                    parent_arc[y] = aid
-                    if outdeg[y] < cap:
-                        target = y
-                        break
-                    queue.append(y)
-            if target is None:
-                # saturated reachable set = too-dense vertex set
-                return None, sorted(visited)
-            y = target
-            while y != tail:
-                aid = parent_arc[y]
-                t = tails[aid]
-                out_arcs[t].discard(aid)
-                outdeg[t] -= 1
-                tails[aid], heads[aid] = y, t
-                out_arcs[y].add(aid)
-                outdeg[y] += 1
-                y = t
-    return heads, None
+    orientation = _Orientation(n, cap)
+    for u, v in edges:
+        if not orientation.push(u, v):
+            return None, sorted(orientation.witness)
+    return orientation.heads, None
 
 
 def is_removable(F: Iterable[Edge], G: Graph, s: int):
@@ -229,8 +314,6 @@ def is_removable(F: Iterable[Edge], G: Graph, s: int):
     for e in F:
         if e not in G.edges:
             raise ValueError(f"edge {e} not in the graph")
-    if s == 1 and not edge_set_is_pseudoforest(G.n, F):
-        return False, None
     heads, _ = orient_with_cap(G.n, F, s)
     if heads is None:
         return False, None
@@ -283,9 +366,10 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     """Stream the removable edge sets of G at budget s.
 
     mode 'all' yields every removable set exactly once; 'maximal' yields
-    exactly the inclusion-maximal ones.  Feasibility is incremental
-    (union-find with rollback for s = 1, orientation retest otherwise); the
-    guard caps keep the exponential walk at desk scale.
+    exactly the inclusion-maximal ones.  The walk branches on each edge in
+    sorted order (take it if a RemovableSet accepts the push, then leave it),
+    so feasibility costs one incremental push per branch; the guard caps keep
+    the exponential walk at desk scale.
     """
     if mode not in ("all", "maximal"):
         raise ValueError("mode must be 'all' or 'maximal'")
@@ -295,60 +379,22 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
         DEFAULT_ENUM_ALL_EDGE_CAP if mode == "all" else DEFAULT_ENUM_MAXIMAL_EDGE_CAP)
     if G.m > cap:
         raise ValueError(f"graph has {G.m} edges, enumeration guard is {cap}")
-    if s == 0:
-        yield frozenset()
-        return
     edges = G.sorted_edges()
     m = len(edges)
-    current: list[Edge] = []
-
-    if s == 1:
-        uf = UnionFind(G.n)
-
-        def try_push(e):
-            mark = uf.checkpoint()
-            if uf.add_edge(*e):
-                return mark
-            uf.rollback(mark)
-            return None
-
-        def undo(mark):
-            uf.rollback(mark)
-
-        def addable(e):
-            mark = try_push(e)
-            if mark is None:
-                return False
-            undo(mark)
-            return True
-    else:
-        def try_push(e):
-            heads, _ = orient_with_cap(G.n, current + [e], s)
-            return -1 if heads is not None else None
-
-        def undo(mark):
-            pass
-
-        def addable(e):
-            heads, _ = orient_with_cap(G.n, current + [e], s)
-            return heads is not None
+    F = RemovableSet(G.n, s)
 
     def dfs(i: int):
         if i == m:
             if mode == "all":
-                yield frozenset(current)
+                yield frozenset(F.edges)
             else:
-                chosen = set(current)
-                if all(e in chosen or not addable(e) for e in edges):
-                    yield frozenset(current)
+                chosen = set(F.edges)
+                if all(e in chosen or not F.can_add(e) for e in edges):
+                    yield frozenset(chosen)
             return
-        e = edges[i]
-        mark = try_push(e)
-        if mark is not None:
-            current.append(e)
+        if F.push(edges[i]):
             yield from dfs(i + 1)
-            current.pop()
-            undo(mark)
+            F.pop()
         yield from dfs(i + 1)
 
     yield from dfs(0)

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass
 
 from .graph import Graph
+from .graphio import ParseError
 from .exact import (DEFAULT_CAPS, CapExceeded, ParameterResult, SolverCaps,
                     classical_parameter)
 from .selection import Edge
@@ -164,23 +165,39 @@ def write_td(T: TreeDecomposition, n_vertices: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _td_int(token: str, line_no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"non-integer field {token!r}", line_no) from None
+
+
 def read_td(text: str) -> TreeDecomposition:
+    """Parse the PACE .td format written by write_td; malformed input raises
+    graphio.ParseError naming the line."""
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     count = None
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "s":
-            count = int(parts[2])
+            if len(parts) < 3:
+                raise ParseError("malformed s-line, expected 's td bags width n'", line_no)
+            count = _td_int(parts[2], line_no)
         elif parts[0] == "b":
-            bags[int(parts[1]) - 1] = frozenset(int(x) - 1 for x in parts[2:])
+            if len(parts) < 2:
+                raise ParseError("malformed bag line, expected 'b index vertices...'", line_no)
+            bags[_td_int(parts[1], line_no) - 1] = frozenset(
+                _td_int(x, line_no) - 1 for x in parts[2:])
         else:
-            edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+            if len(parts) != 2:
+                raise ParseError("malformed tree edge line, expected 'i j'", line_no)
+            edges.append((_td_int(parts[0], line_no) - 1, _td_int(parts[1], line_no) - 1))
     if count is None:
-        raise ValueError("missing s-line header")
+        raise ParseError("missing s-line header")
     return TreeDecomposition([bags.get(i, frozenset()) for i in range(count)], edges)
 
 

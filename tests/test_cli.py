@@ -188,6 +188,15 @@ def test_config_override_warning(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_config_unknown_cap_key_exit3(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[caps]\nrobust_nn = 5\n")
+    code, report = run_cli(["compute", "--gen", "complete:4", "--param", "chi1",
+                            "--config", str(cfg), "--no-timing"])
+    assert code == 3 and report is None
+    assert "robust_nn" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "robusta.cli", "compute",
                            "--gen", "complete:4", "--param", "omega1",

@@ -151,6 +151,10 @@ def test_iota():
     assert iota(path(9)).value == 9
     res = iota(complete(5))
     validate_result(complete(5), as_dict(res))
+    bad = as_dict(res)
+    bad["certificate"]["inducing_set"], bad["value"] = [0, 1, 2, 3], 4  # K4 is too dense
+    with pytest.raises(CertificateError):
+        validate_result(complete(5), bad)
 
 
 def test_iota_equals_alpha1():

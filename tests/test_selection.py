@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from robusta import (Graph, SSelection, apply_selection, complete, cycle,
                      selection_digraph, selection_from_edge_set)
 from robusta.exact import canonical_form
 from robusta.graph import star
+from robusta.selection import RemovableSet
 
 
 def test_quasi_unicyclic_basics():
@@ -46,6 +48,49 @@ def test_is_removable_matches_exhaustive_orientations():
                         tail = e[0] if witness[e] == e[1] else e[1]
                         out[tail] += 1
                     assert max(out, default=0) <= s
+
+
+def test_removable_set_matches_exhaustive_orientations():
+    """Random push/pop/can_add walks; every answer is checked against the
+    brute force, and pop() must restore every can_add answer."""
+    rng = random.Random(2024)
+    cases = [(erdos_renyi(6, 0.6, seed), s) for seed in range(8) for s in (0, 1, 2, 3)]
+    # with at most 10 edges on 6 vertices every s = 2 push succeeds; in K6,
+    # 13 edges exceed 2 * 6 and the path-reversal search must fail
+    cases.append((complete(6), 2))
+    for G, s in cases:
+        edges = G.sorted_edges()
+        if G.m <= 12:
+            edges = edges[:10]
+        memo = {}
+
+        def removable(F):
+            key = frozenset(F)
+            if key not in memo:
+                memo[key] = exhaustive_orientation_exists(G, F, s)
+            return memo[key]
+
+        F = RemovableSet(G.n, s)
+        snapshots = []
+        for _ in range(40):
+            outside = [e for e in edges if e not in F.edges]
+            answers = [F.can_add(e) for e in outside]
+            assert answers == [removable(F.edges + [e]) for e in outside], (G.m, s)
+            if F.edges and (not outside or rng.random() < 0.25):
+                before, prior = snapshots.pop()
+                F.pop()
+                assert F.edges == prior
+                assert [F.can_add(e) for e in edges if e not in F.edges] == before
+                continue
+            e = rng.choice(outside)
+            prior = list(F.edges)
+            if F.push(e):
+                assert removable(prior + [e])
+                snapshots.append((answers, prior))
+            else:
+                assert not removable(prior + [e])
+                assert F.edges == prior
+                assert [F.can_add(x) for x in outside] == answers
 
 
 def test_is_removable_examples():

@@ -8,6 +8,7 @@ from robusta import (Graph, complete, cycle, dp_robust, erdos_renyi,
                      validate_decomposition, write_td)
 from robusta.certify import validate_result
 from robusta.exact import CapExceeded
+from robusta.graphio import ParseError
 from robusta.treewidth import TreeDecomposition, dp_all
 
 
@@ -76,6 +77,17 @@ def test_td_format_roundtrip():
     assert back.bags == T.bags
     assert sorted(back.tree_edges) == sorted(T.tree_edges)
     assert text.startswith("s td ")
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("s td\n", 1),
+    ("s td 1 1 1\nb\n", 2),
+    ("s td 1 2 2\nb 1 x\n", 2),
+    ("c bags\ns td 2 2 2\nb 1 1 2\nb 2 2\n1\n", 5),
+])
+def test_read_td_malformed_lines(text, line_no):
+    with pytest.raises(ParseError, match=f"line {line_no}:"):
+        read_td(text)
 
 
 def test_dp_examples():
