@@ -22,7 +22,14 @@ Parameter strategies:
   are introduced.
 * theta_1 is a max over selections of a minimum cover, so rows carry the
   whole cost profile over flagged bag partitions (flag = class already
-  touches a forgotten vertex); rows merge only when profiles coincide.
+  touches a forgotten vertex).  Every finished table is pruned by
+  dominance: of two rows with the same (arcs, pset), the one whose profile
+  is pointwise <= the other's is dropped, reading a missing partition as
+  cost +inf.  This is sound because the rows above depend on a row only
+  through its (arcs, pset), which fixes the same future choices for both,
+  and through its profile, which introduce, forget and join transform by
+  monotone min-plus maps; so the dropped row never ends with a larger cover
+  than the kept one, and the final max is unchanged.
 
 The engine appends synthetic forget nodes above the root until the bag is
 empty, so extraction reads a table over the trivial state.
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 from .graph import Graph
 from .graphio import ParseError
 from .exact import (DEFAULT_CAPS, CapExceeded, ParameterResult, SolverCaps,
-                    classical_parameter)
+                    _max_clique, classical_parameter)
 from .selection import Edge
 
 
@@ -165,16 +172,25 @@ def write_td(T: TreeDecomposition, n_vertices: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _td_int(token: str, line_no: int) -> int:
+def _td_int(token: str, line_no: int, low: int = 1, high: int | None = None,
+            what: str = "field") -> int:
+    """One integer field of a .td line, required to lie in low..high."""
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        raise ParseError(f"non-integer field {token!r}", line_no) from None
+        raise ParseError(f"non-integer {what} {token!r}", line_no) from None
+    if high is not None and not low <= value <= high:
+        raise ParseError(f"{what} {value} outside {low}..{high}", line_no)
+    if value < low:
+        raise ParseError(f"{what} {value} below {low}", line_no)
+    return value
 
 
 def read_td(text: str) -> TreeDecomposition:
     """Parse the PACE .td format written by write_td; malformed input raises
-    graphio.ParseError naming the line."""
+    graphio.ParseError naming the line: a missing or repeated s-line, a
+    repeated bag, a bag or tree-edge index outside 1..bag count, or a vertex
+    id below 1."""
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     count = None
@@ -184,18 +200,28 @@ def read_td(text: str) -> TreeDecomposition:
             continue
         parts = line.split()
         if parts[0] == "s":
+            if count is not None:
+                raise ParseError("second s-line header", line_no)
             if len(parts) < 3:
                 raise ParseError("malformed s-line, expected 's td bags width n'", line_no)
-            count = _td_int(parts[2], line_no)
-        elif parts[0] == "b":
+            count = _td_int(parts[2], line_no, low=0, what="bag count")
+            continue
+        if count is None:
+            raise ParseError("bag or tree edge line before the s-line header", line_no)
+        if parts[0] == "b":
             if len(parts) < 2:
                 raise ParseError("malformed bag line, expected 'b index vertices...'", line_no)
-            bags[_td_int(parts[1], line_no) - 1] = frozenset(
-                _td_int(x, line_no) - 1 for x in parts[2:])
+            index = _td_int(parts[1], line_no, high=count, what="bag index")
+            if index - 1 in bags:
+                raise ParseError(f"second line for bag {index}", line_no)
+            bags[index - 1] = frozenset(
+                _td_int(x, line_no, what="vertex id") - 1 for x in parts[2:])
         else:
             if len(parts) != 2:
                 raise ParseError("malformed tree edge line, expected 'i j'", line_no)
-            edges.append((_td_int(parts[0], line_no) - 1, _td_int(parts[1], line_no) - 1))
+            i, j = (_td_int(x, line_no, high=count, what="tree edge endpoint")
+                    for x in parts)
+            edges.append((i - 1, j - 1))
     if count is None:
         raise ParseError("missing s-line header")
     return TreeDecomposition([bags.get(i, frozenset()) for i in range(count)], edges)
@@ -352,7 +378,8 @@ def make_nice(T: TreeDecomposition, G: Graph) -> NiceTreeDecomposition:
         built[x] = cur
     nice = NiceTreeDecomposition(nodes, built[root_old])
     ok, why = nice.validate(G)
-    assert ok, why
+    if not ok:
+        raise AssertionError(f"make_nice built an invalid nice decomposition: {why}")
     return nice
 
 
@@ -416,8 +443,10 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
     """Bottom-up table pass; returns (final table, tables, prov, nodes list).
 
     Table rows are (arcs, pset, payload) -> value; `prov` mirrors the tables
-    with provenance tuples for certificate reconstruction.  `trace`, when a
-    list, collects one row-count record per node for debugging dumps.
+    with provenance tuples for certificate reconstruction.  A strategy with a
+    `dominates` test has each finished table pruned before it is stored and
+    counted, so kept rows only point at kept child rows.  `trace`, when a
+    list, collects one record per node: rows kept and rows pruned.
     """
     nodes = list(nice.nodes)
     cur = nice.root
@@ -496,14 +525,41 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
             tables[a] = None
             tables[b] = None
 
+        dropped = _dominated_rows(tbl, strategy.dominates) if strategy.dominates else ()
+        for key in dropped:
+            del tbl[key]
+            del pv[key]
         tables[node] = tbl
         stats.max_rows = max(stats.max_rows, len(tbl))
         stats.rows_total += len(tbl)
         if trace is not None:
-            trace.append({"node": node, "kind": nd.kind,
-                          "bag": sorted(nd.bag), "rows": len(tbl)})
+            trace.append({"node": node, "kind": nd.kind, "bag": sorted(nd.bag),
+                          "rows": len(tbl), "pruned": len(dropped)})
 
     return tables[top], prov, nodes, top, stats
+
+
+def _dominated_rows(tbl, dominates) -> list:
+    """Keys of the rows to drop: among rows with the same (arcs, pset), every
+    row whose payload some other row's payload dominates.  Dominance is a
+    strict partial order on distinct keys, so the kept rows are the maximal
+    ones and every dropped row is dominated by a kept one."""
+    groups: dict[tuple, list] = {}
+    for key in tbl:
+        groups.setdefault(key[:2], []).append(key)
+    dropped = []
+    for keys in groups.values():
+        front: list = []
+        for key in keys:
+            if any(dominates(k[2], key[2]) for k in front):
+                dropped.append(key)
+                continue
+            beaten = [k for k in front if dominates(key[2], k[2])]
+            if beaten:
+                dropped.extend(beaten)
+                front = [k for k in front if k not in beaten]
+            front.append(key)
+    return dropped
 
 
 def _collect_certificate(prov, nodes, top, key, collect):
@@ -539,6 +595,8 @@ def _collect_certificate(prov, nodes, top, key, collect):
 class _AlphaStrategy:
     """Largest independent set in the removed graph, cooperative max."""
 
+    dominates = None  # distinct payloads are never comparable
+
     def __init__(self, G: Graph):
         self.G = G
 
@@ -572,13 +630,11 @@ class _AlphaStrategy:
     def join(Sa, va, Sb, vb):
         return Sa, va + vb - len(Sa)
 
-    @staticmethod
-    def payload_bound(bag_size, n, k=None):
-        return 2 ** bag_size
-
 
 class _OmegaDecision:
     """Reachability: selections whose removed edges meet every target clique."""
+
+    dominates = None  # distinct payloads are never comparable
 
     def __init__(self, G: Graph, t: int):
         self.G = G
@@ -622,13 +678,11 @@ class _OmegaDecision:
     def join(pa, va, pb, vb):
         return pa, 0
 
-    @staticmethod
-    def payload_bound(bag_size, n, k=None):
-        return 1
-
 
 class _ChiDecision:
     """Reachability over (state, bag coloring) for a fixed palette size."""
+
+    dominates = None  # distinct payloads are never comparable
 
     def __init__(self, G: Graph, k: int):
         self.G = G
@@ -668,9 +722,6 @@ class _ChiDecision:
     def join(pa, va, pb, vb):
         return pa, 0
 
-    def payload_bound(self, bag_size, n, k=None):
-        return self.k ** bag_size
-
 
 class _ThetaStrategy:
     """Max over selections of the minimum clique cover; rows carry the whole
@@ -682,6 +733,17 @@ class _ThetaStrategy:
     @staticmethod
     def better(new, old):
         return False  # profile is part of the key; first entry wins
+
+    @staticmethod
+    def dominates(pa, pb):
+        """True when a row with profile pb may be dropped for one with pa:
+        every flagged partition of pa also appears in pb at a cost <= pa's.
+        A partition missing from pb costs +inf there, so it never lets pb
+        be dropped."""
+        if len(pa) > len(pb):
+            return False
+        costs = dict(pb)
+        return all(fp in costs and costs[fp] <= cost for fp, cost in pa)
 
     @staticmethod
     def join_key(pay):
@@ -762,13 +824,6 @@ class _ThetaStrategy:
             return None
         return tuple(sorted(out.items())), 0
 
-    @staticmethod
-    def payload_bound(bag_size, n, k=None):
-        # flagged partitions of the bag, each mapping to a cost <= n + 1
-        bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
-        parts = bell[min(bag_size, len(bell) - 1)] * (2 ** bag_size)
-        return (n + 2) ** parts
-
 
 # ---------------------------------------------------------------------------
 # public front end
@@ -784,7 +839,8 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
     """Compute a robust parameter by dynamic programming over a nice tree
     decomposition.  `which` is one of alpha1 / omega1 / chi1 / theta1; for
     chi1 an explicit k runs the single decision instead of the minimizing
-    loop.  `trace_file` dumps per-node table sizes as JSON for debugging."""
+    loop.  `trace_file` dumps per-node table sizes (rows kept, rows pruned)
+    as JSON for debugging."""
     if which not in DP_PARAMETERS:
         raise ValueError(f"unknown dp parameter {which!r}")
     if G.n == 0:
@@ -824,12 +880,19 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
                 key = next(iter(final))
                 removed = _collect_certificate(prov, nodes, top, key,
                                                lambda *a: None)
-                clique = _find_clique(G, removed, t)
+                # t is minimal, so the removed graph's largest clique has
+                # exactly t vertices
+                clique, _ = _max_clique(G.n, Graph(G.n, G.edges - removed).adjacency_masks())
+                if len(clique) != t:
+                    raise AssertionError(
+                        f"omega1 dp decided {t}, but the removed graph has a "
+                        f"largest clique of {len(clique)} vertices")
                 cert = {"removed_edges": [list(e) for e in sorted(removed)],
                         "clique": clique}
                 value = t
                 break
-        assert value is not None, "decision must succeed by t = width + 1"
+        if value is None:
+            raise AssertionError(f"omega1 decision must succeed by t = width + 1 = {width + 1}")
         result = ParameterResult("omega", 1, value, cert)
 
     elif which == "chi1":
@@ -863,9 +926,11 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
         final, prov, nodes, top, stats = _run_dp(G, nice, strategy, trace)
         value = -1
         key = None
-        for rk, _ in final.items():
+        for rk in final:
             profile = rk[2]
-            assert len(profile) == 1 and profile[0][0] == ()
+            if len(profile) != 1 or profile[0][0] != ():
+                raise AssertionError(
+                    f"theta1 root row must hold one cost for the empty bag, got {profile!r}")
             cost = profile[0][1]
             if cost > value:
                 value, key = cost, rk
@@ -874,7 +939,10 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
         if G.n <= caps.theta_n:
             H = Graph(G.n, G.edges - removed)
             cover = classical_parameter(H, "theta", caps)
-            assert cover.value == value
+            if cover.value != value:
+                raise AssertionError(
+                    f"theta1 dp value {value} disagrees with the clique cover "
+                    f"number {cover.value} of its removed graph")
             cert["clique_cover"] = cover.certificate["clique_cover"]
         else:
             cert["clique_cover"] = None
@@ -889,30 +957,6 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
             json.dump({"parameter": which, "value": result.value,
                        "nodes": trace}, fh, sort_keys=True)
     return result
-
-
-def _find_clique(G: Graph, removed: frozenset[Edge], size: int) -> list[int]:
-    """Some clique of `size` vertices in G minus the removed edges."""
-    H = Graph(G.n, G.edges - removed)
-    if size <= 0:
-        return []
-    if size == 1:
-        return [0] if G.n else []
-    order = sorted(range(H.n), key=lambda v: -H.degree(v))
-
-    def extend(partial, cand):
-        if len(partial) == size:
-            return partial
-        for v in cand:
-            nxt = [u for u in cand if u > v and H.has_edge(u, v)]
-            res = extend(partial + [v], nxt)
-            if res:
-                return res
-        return None
-
-    res = extend([], order)
-    assert res, "certified clique must exist"
-    return sorted(res)
 
 
 def dp_all(G: Graph, which_list=DP_PARAMETERS, caps: SolverCaps = DEFAULT_CAPS,

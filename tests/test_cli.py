@@ -179,6 +179,15 @@ def test_byte_identical_reports(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_dp_theta1_omega1_reports_byte_identical(tmp_path):
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["compute", "--gen", "erdos-renyi:9,0.35", "--seed", "4",
+            "--engine", "dp", "--param", "theta1,omega1", "--no-timing"]
+    run_cli(args + ["--out", str(out1)])
+    run_cli(args + ["--out", str(out2)])
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_config_override_warning(tmp_path, capsys):
     cfg = tmp_path / "caps.ini"
     cfg.write_text("[caps]\nchi_n = 4\n")

@@ -1,3 +1,4 @@
+import json
 import time
 
 import pytest
@@ -9,7 +10,8 @@ from robusta import (Graph, complete, cycle, dp_robust, erdos_renyi,
 from robusta.certify import validate_result
 from robusta.exact import CapExceeded
 from robusta.graphio import ParseError
-from robusta.treewidth import TreeDecomposition, dp_all
+from robusta.treewidth import (TreeDecomposition, _dominated_rows, _ThetaStrategy,
+                               dp_all)
 
 
 def test_heuristic_widths():
@@ -84,6 +86,14 @@ def test_td_format_roundtrip():
     ("s td 1 1 1\nb\n", 2),
     ("s td 1 2 2\nb 1 x\n", 2),
     ("c bags\ns td 2 2 2\nb 1 1 2\nb 2 2\n1\n", 5),
+    ("s td 1 1 1\nb 5 1\nb 1 1\n", 2),        # bag index above the count
+    ("s td 1 1 1\nb 0 1\n", 2),               # bag index below 1
+    ("s td 1 1 1\nb 1 1\n3 4\n", 3),          # tree edge between missing bags
+    ("s td 2 1 2\nb 1 1\nb 2 2\n1 0\n", 4),   # tree edge endpoint below 1
+    ("s td 1 1 1\ns td 2 1 1\nb 1 1\n", 2),   # second s-line
+    ("s td 1 1 1\nb 1 0\n", 2),               # vertex id below 1
+    ("s td 1 1 2\nb 1 1\nb 1 2\n", 3),         # second line for one bag
+    ("b 1 1\ns td 1 1 1\n", 1),               # bag before the header
 ])
 def test_read_td_malformed_lines(text, line_no):
     with pytest.raises(ParseError, match=f"line {line_no}:"):
@@ -142,6 +152,85 @@ def test_dp_matches_exact_on_random_corpus():
                                 "certificate": res.certificate})
         checked += 1
     assert checked == 30
+
+
+# flagged partitions of the bag {0, 1}: two singletons, or one class
+SPLIT = (((0,), False), ((1,), False))
+MERGED = (((0, 1), False),)
+
+
+def test_theta_dominance_predicate():
+    dominates = _ThetaStrategy.dominates
+    cheap = ((SPLIT, 1), (MERGED, 1))
+    dear = ((SPLIT, 2),)
+    # every partition of `dear` is in `cheap` at a cost <= dear's: drop cheap
+    assert dominates(dear, cheap)
+    # `dear` lacks MERGED, which costs +inf there: it is never dropped for cheap
+    assert not dominates(cheap, dear)
+    # disjoint partition sets: neither is dropped
+    assert not dominates(((MERGED, 1),), dear)
+    assert not dominates(dear, ((MERGED, 1),))
+    # same partitions: the pointwise larger profile wins ...
+    assert dominates(((SPLIT, 1), (MERGED, 2)), cheap)
+    # ... and with crossing costs neither is dropped
+    crossed = ((SPLIT, 2), (MERGED, 0))
+    assert not dominates(crossed, cheap)
+    assert not dominates(cheap, crossed)
+
+
+def test_dominated_rows_keep_groups_apart():
+    cheap = ((SPLIT, 1), (MERGED, 1))
+    dear = ((SPLIT, 2),)
+    other = ((MERGED, 0),)  # cheaper than cheap on MERGED: dominates nothing
+    state_a = ((), frozenset())
+    state_b = (((0, 1),), frozenset({0}))
+    tbl = {state_a + (cheap,): 0, state_b + (cheap,): 0,
+           state_a + (other,): 0, state_a + (dear,): 0}
+    dropped = _dominated_rows(tbl, _ThetaStrategy.dominates)
+    # cheap is dropped only where dear shares its (arcs, pset)
+    assert dropped == [state_a + (cheap,)]
+    for key in dropped:
+        del tbl[key]
+    assert list(tbl) == [state_b + (cheap,), state_a + (other,), state_a + (dear,)]
+
+
+def test_dp_pruned_corpus_matches_exact_and_certifies():
+    """Width <= 3 graphs on 4-9 vertices, from a seed stream of their own:
+    the pruned theta1 DP equals the exact tier, and every DP certificate of
+    the four parameters validates."""
+    checked = 0
+    seed = 1000
+    while checked < 30:
+        n = 4 + seed % 6
+        G = erdos_renyi(n, 3.0 / n, seed)
+        seed += 1
+        T = heuristic_decomposition(G)
+        if T.width > 3:
+            continue
+        nice = make_nice(T, G)
+        for which in ("chi1", "omega1", "alpha1", "theta1"):
+            res = dp_robust(G, nice, which)
+            validate_result(G, {"parameter": res.parameter, "s": 1,
+                                "value": res.value,
+                                "certificate": res.certificate})
+            if which == "theta1":
+                assert res.value == robust_parameter(G, "theta", 1).value, seed - 1
+        checked += 1
+
+
+def test_dp_trace_counts_pruned_rows(tmp_path):
+    G = erdos_renyi(9, 0.35, 4)
+    nice = make_nice(heuristic_decomposition(G), G)
+    pruned = {}
+    for which in ("alpha1", "theta1"):
+        path_ = tmp_path / f"{which}.json"
+        res = dp_robust(G, nice, which, trace_file=str(path_))
+        records = json.loads(path_.read_text())["nodes"]
+        assert max(r["rows"] for r in records) == res.stats["max_rows"]
+        assert sum(r["rows"] for r in records) == res.stats["rows_total"]
+        pruned[which] = sum(r["pruned"] for r in records)
+    assert pruned["alpha1"] == 0
+    assert pruned["theta1"] > 0
 
 
 def test_dp_state_space_reported_and_bounded():
