@@ -8,7 +8,10 @@ JSON is the canonical output (sorted keys, fixed separators); identical
 command, seed and config produce identical reports except for the `timing`
 block, which --no-timing zeroes for byte-exact comparison.  Randomized
 commands require an explicit --seed.  Exit codes: 0 success, 2 bound or
-certificate violation, 3 cap or input error.
+certificate violation, 3 cap, input or usage error.
+
+main() may be called repeatedly in one process: the argument parser is built
+once, on the first call, and reused.
 
 Caps may be overridden by an INI config file (section [caps]); overrides
 print a hard warning to stderr.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -150,8 +154,11 @@ def _emit(report: dict, args, t0: float) -> None:
         _zero_elapsed(report)
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -611,9 +618,21 @@ def _add_common(p, source=True):
                    help="zero the timing block for byte-exact comparison")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as CliError (exit 3) instead of exiting 2,
+    which here means a bound or certificate violation.  Subparsers are
+    built from the same class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="robusta",
-                                 description="robust graph parameter toolkit")
+    """The parser, built on the first call and shared by every later one;
+    parse_args keeps no state between calls."""
+    ap = _ArgumentParser(prog="robusta",
+                         description="robust graph parameter toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute parameters of one graph")
@@ -664,8 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,6 +46,8 @@ def parse_dimacs(text: str) -> tuple[Graph, dict]:
                 n, declared_m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("non-integer counts in problem line", line_no) from None
+            if n < 0:
+                raise ParseError(f"negative vertex count {n}", line_no)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", line_no)

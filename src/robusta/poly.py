@@ -122,8 +122,10 @@ def quasi_unicyclic_edge_decomposition(G: Graph) -> Decomposition:
         for rank, (_, e) in enumerate(sorted(by_tail[tail])):
             classes[rank].append(e)
     result = Decomposition(tuple(tuple(sorted(cls)) for cls in classes), ori)
-    for cls in result.classes:
-        assert is_quasi_unicyclic(Graph(G.n, cls))
+    for rank, cls in enumerate(result.classes):
+        if not is_quasi_unicyclic(Graph(G.n, cls)):
+            raise AssertionError(f"edge decomposition class {rank} of {result.k} is not "
+                                 f"quasi-unicyclic: {list(cls)}")
     return result
 
 

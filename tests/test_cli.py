@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from robusta.cli import main
+import pytest
+
+from robusta.cli import build_parser, main
 
 
 def run_cli(args, tmp_path=None):
@@ -74,6 +76,59 @@ def test_compute_cap_exceeded_exit3():
     code, _ = run_cli(["compute", "--gen", "complete:30",
                        "--param", "chi", "--no-timing"])
     assert code == 3
+
+
+def test_usage_errors_exit3(capsys):
+    for argv in (["compute", "--gen", "complete:3"],  # --param missing
+                 ["compute", "--gen", "complete:3", "--param", "chi",
+                  "--seed", "x"],
+                 ["compute", "--gen", "complete:3", "--param", "chi",
+                  "--engine", "fast"],
+                 ["frobnicate"], []):
+        code, report = run_cli(argv)
+        assert code == 3 and report is None, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: robusta") and "\nusage: robusta" in err, argv
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["compute", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: robusta")
+
+
+def test_unwritable_out_exit3(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, report = run_cli(["compute", "--gen", "complete:4", "--param", "chi",
+                            "--s", "1", "--out", str(target), "--no-timing"])
+    assert code == 3 and report is None and not target.exists()
+    assert "cannot write report" in capsys.readouterr().err
+
+
+def test_parser_reuse_matches_fresh_process(tmp_path, capsys):
+    """One parser serves every call: options of an earlier call, or of one
+    that failed half-way through parsing, never leak into the next."""
+    assert build_parser() is build_parser()
+    out = tmp_path / "oracle.json"
+    assert main(["compute", "--gen", "complete:4", "--param", "chi",
+                 "--engine", "oracle", "--s", "2", "--out", str(out),
+                 "--no-timing"]) == 0
+    assert json.loads(out.read_text())["results"][0]["s"] == 2
+    assert main(["compute", "--gen", "complete:4", "--s", "1",
+                 "--engine", "dp", "--param"]) == 3
+    capsys.readouterr()
+    plain = ["compute", "--gen", "erdos-renyi:7,0.5", "--seed", "3",
+             "--param", "chi,omega1", "--no-timing"]
+    assert main(plain) == 0
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert report["engine"] == "exact"
+    assert [r["s"] for r in report["results"]] == [0, 1]
+    proc = subprocess.run([sys.executable, "-m", "robusta.cli", *plain],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == text
 
 
 def test_input_file_roundtrip(tmp_path):

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from robusta import Graph, complete, erdos_renyi, parse_graph, to_dot, write_dimacs, write_edgelist
 from robusta.graphio import ParseError, parse_dimacs, parse_edgelist
+from robusta.treewidth import read_td
 
 
 def test_parse_dimacs_triangle():
@@ -60,3 +62,32 @@ def test_roundtrip_both_formats():
 def test_dot_export():
     text = to_dot(Graph(3, [(0, 1)]))
     assert "0 -- 1;" in text and "2;" in text and text.startswith("graph G {")
+
+
+# Line-shaped texts built from the keywords of all three formats, small
+# integers and short arbitrary strings, mixed with wholly arbitrary text.
+# Numbers stay small: a header may declare that many vertices or bags, and
+# the parsers allocate them.
+_NUMBER = st.integers(min_value=-3, max_value=9).map(str)
+_TOKEN = st.one_of(_NUMBER, st.sampled_from(["#", "-", "+1", "0x1", "1.5", "1_0", ""]),
+                   st.text(max_size=3))
+_LINE = st.one_of(
+    st.builds(lambda head, rest: " ".join([head, *rest]),
+              st.sampled_from(["p edge", "p col", "p", "e", "c", "s td", "s", "b", ""]),
+              st.lists(_NUMBER, max_size=4)),
+    st.lists(_TOKEN, max_size=5).map(" ".join))
+_TEXTS = st.one_of(st.text(max_size=60),
+                   st.lists(_LINE, max_size=6).map("\n".join))
+
+
+@pytest.mark.parametrize("parse", [parse_dimacs, parse_edgelist, read_td],
+                         ids=["dimacs", "edgelist", "td"])
+@given(text=_TEXTS)
+@example(text="p edge -3 0\n")
+@settings(max_examples=200, deadline=None)
+def test_parsers_raise_only_parse_error(parse, text):
+    """Any text either parses or raises ParseError, never another exception."""
+    try:
+        parse(text)
+    except ParseError:
+        pass
