@@ -95,10 +95,6 @@ class ParameterResult:
         }, sort_keys=True)
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _bits(mask: int):
     while mask:
         b = mask & -mask
@@ -149,17 +145,16 @@ def _max_clique(n: int, masks: list[int]):
 
 def _dsatur(n: int, masks: list[int]) -> list[int]:
     color = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    degs = [_popcount(masks[v]) for v in range(n)]
-    for _ in range(n):
-        v = max((u for u in range(n) if color[u] < 0),
-                key=lambda u: (len(neighbor_colors[u]), degs[u], -u))
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
+    seen = [0] * n  # colours on each vertex's neighbours, as a bitmask
+    degs = [masks[v].bit_count() for v in range(n)]
+    uncolored = (1 << n) - 1
+    while uncolored:
+        v = max(_bits(uncolored), key=lambda u: (seen[u].bit_count(), degs[u], -u))
+        c = (~seen[v] & (seen[v] + 1)).bit_length() - 1  # lowest free colour
         color[v] = c
+        uncolored ^= 1 << v
         for w in _bits(masks[v]):
-            neighbor_colors[w].add(c)
+            seen[w] |= 1 << c
     return color
 
 
@@ -248,7 +243,7 @@ def _edge_coloring_decision(G: Graph, k: int):
             if e in assign:
                 continue
             free = full & ~(used[e[0]] | used[e[1]])
-            cnt = _popcount(free)
+            cnt = free.bit_count()
             if pick is None or cnt < pick_free[1]:
                 pick, pick_free = e, (free, cnt)
                 if cnt == 0:
@@ -396,28 +391,45 @@ def _require(cond: bool, what: str, n: int, cap: int):
         raise CapExceeded(f"{what}: instance size {n} exceeds cap {cap}")
 
 
-def _classical_kernel(G: Graph, which: str):
+def _removed_masks(G: Graph, F) -> list[int]:
+    """Adjacency masks of G - F, for an iterable F of edges of G."""
+    masks = [0] * G.n
+    for u, v in G.edges.difference(F):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _complement_masks(n: int, masks: list[int]) -> list[int]:
+    full = (1 << n) - 1
+    return [full ^ m ^ (1 << v) for v, m in enumerate(masks)]
+
+
+def _classical_kernel(n: int, masks: list[int], which: str):
     """(value, certificate, nodes) of the classical chi, omega, alpha, theta
-    or chi_prime of G, with no cap check.  The classical front end, the
-    enumeration tiers and the theta search all evaluate through here."""
+    or chi_prime of the graph with adjacency masks `masks`, with no cap
+    check.  The classical front end, the enumeration tiers and the theta
+    search all evaluate through here."""
     if which == "chi":
-        value, coloring, nodes = _chromatic(G.n, G.adjacency_masks())
+        value, coloring, nodes = _chromatic(n, masks)
         return value, {"coloring": coloring}, nodes
     if which == "omega":
-        clique, nodes = _max_clique(G.n, G.adjacency_masks())
-        return max(len(clique), 1 if G.n else 0), {"clique": clique}, nodes
+        clique, nodes = _max_clique(n, masks)
+        return max(len(clique), 1 if n else 0), {"clique": clique}, nodes
     if which == "alpha":
-        ind, nodes = _max_clique(G.n, G.complement().adjacency_masks())
-        return max(len(ind), 1 if G.n else 0), {"independent_set": ind}, nodes
+        ind, nodes = _max_clique(n, _complement_masks(n, masks))
+        return max(len(ind), 1 if n else 0), {"independent_set": ind}, nodes
     if which == "theta":
-        value, coloring, nodes = _chromatic(G.n, G.complement().adjacency_masks())
+        value, coloring, nodes = _chromatic(n, _complement_masks(n, masks))
         cover: list[list[int]] = [[] for _ in range(value)]
         for v, c in enumerate(coloring):
             cover[c].append(v)
         cover = [sorted(c) for c in cover if c]
         return len(cover), {"clique_cover": cover}, nodes
     if which == "chi_prime":
-        value, coloring, nodes = _chi_prime(G)
+        # edge_coloring_upper works on a Graph
+        H = Graph(n, [(u, v) for u in range(n) for v in _bits(masks[u] >> u << u)])
+        value, coloring, nodes = _chi_prime(H)
         return value, {"edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}, nodes
     raise ValueError(f"unknown robust parameter {which!r}")
 
@@ -438,7 +450,7 @@ def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -
         else:
             size, cap = G.n, getattr(caps, f"{which}_n")
         _require(size <= cap, which, size, cap)
-        value, cert, nodes = _classical_kernel(G, which)
+        value, cert, nodes = _classical_kernel(G.n, G.adjacency_masks(), which)
     else:
         raise ValueError(f"unknown classical parameter {which!r}")
     elapsed = (time.perf_counter() - t0) * 1000
@@ -482,7 +494,7 @@ def iota(G: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
     _require(G.n <= caps.iota_n, "iota", G.n, caps.iota_n)
     best, nodes = _max_feasible_subset(G, lambda mask: _mask_orientable(G, mask, 1))
     elapsed = (time.perf_counter() - t0) * 1000
-    return ParameterResult("iota", 1, _popcount(best),
+    return ParameterResult("iota", 1, best.bit_count(),
                            {"inducing_set": sorted(_bits(best))},
                            {"nodes": nodes, "elapsed_ms": elapsed})
 
@@ -541,7 +553,7 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
     for qi, mask in enumerate(target_masks):
         for ei in _bits(mask):
             per_edge[ei] |= 1 << qi
-    static_cov = [_popcount(pm) for pm in per_edge]
+    static_cov = [pm.bit_count() for pm in per_edge]
     max_static = max(static_cov) if static_cov else 0
     all_q = (1 << len(target_masks)) - 1
     visited: set[int] = set()
@@ -566,11 +578,11 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
         if not addable:
             return None
         left = budget - len(F.edges)
-        n_unhit = _popcount(unhit)
+        n_unhit = unhit.bit_count()
         if n_unhit > left * max_static:
             return None
         if n_unhit <= scan_cap:
-            maxcov = max(_popcount(per_edge[ei] & unhit) for ei in addable)
+            maxcov = max((per_edge[ei] & unhit).bit_count() for ei in addable)
             if maxcov == 0 or n_unhit > left * maxcov:
                 return None
         # greedy edge-disjoint packing: disjoint unhit targets need
@@ -591,21 +603,23 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
             packed += 1
             if packed > left:
                 return None
-        # branch on an unhit target with few addable edges
-        target_opts = None
+        # branch on an unhit target with few addable edges: the first one
+        # with the fewest, stopping at one or fewer
+        pick = fewest = -1
         scanned = 0
         for qi in _bits(unhit):
             scanned += 1
-            opts = list(_bits(target_masks[qi] & addset))
-            if target_opts is None or len(opts) < len(target_opts):
-                target_opts = opts
-                if len(opts) <= 1:
+            cnt = (target_masks[qi] & addset).bit_count()
+            if pick < 0 or cnt < fewest:
+                pick, fewest = qi, cnt
+                if cnt <= 1:
                     break
             if scanned > scan_cap:
                 break
-        if not target_opts:
+        if fewest == 0:
             return None
-        target_opts.sort(key=lambda ei: -static_cov[ei])
+        target_opts = sorted(_bits(target_masks[pick] & addset),
+                             key=lambda ei: -static_cov[ei])
         for ei in target_opts:
             F.push(edges[ei])
             res = rec(fmask | (1 << ei), unhit & ~per_edge[ei])
@@ -649,10 +663,9 @@ def _omega_robust(G: Graph, s: int):
     for v in range(1, omega0 + 1):
         F = decision(v)
         if F is not None:
-            H = Graph(n, G.edges - set(F))
-            clique, extra = _max_clique(n, H.adjacency_masks())
+            clique, extra = _max_clique(n, _removed_masks(G, F))
             counter.nodes += extra
-            if not clique and H.n:
+            if not clique and n:
                 clique = [0]
             return v, {"removed_edges": [list(e) for e in sorted(F)],
                        "clique": clique}, counter.nodes
@@ -668,9 +681,10 @@ def _clique_partition_targets(G: Graph, B: int, eid: dict[Edge, int]) -> list[in
     only carry larger edge masks (splitting a class strictly shrinks one).
     """
     n = G.n
+    adj = G.adjacency_masks()
     masks: set[int] = set()
     classes: list[list[int]] = []
-    class_masks: list[int] = []
+    class_masks: list[int] = []  # vertex mask of each class
 
     def rec(v: int, mask: int):
         if len(classes) > B or len(classes) + (n - v) < B:
@@ -680,21 +694,24 @@ def _clique_partition_targets(G: Graph, B: int, eid: dict[Edge, int]) -> list[in
                 masks.add(mask)
             return
         for i, cls in enumerate(classes):
-            if all(G.has_edge(u, v) for u in cls):
+            if class_masks[i] & adj[v] == class_masks[i]:
                 add = 0
                 for u in cls:
-                    add |= 1 << eid[(u, v) if u < v else (v, u)]
+                    add |= 1 << eid[(u, v)]
                 cls.append(v)
+                class_masks[i] |= 1 << v
                 rec(v + 1, mask | add)
+                class_masks[i] ^= 1 << v
                 cls.pop()
         classes.append([v])
+        class_masks.append(1 << v)
         rec(v + 1, mask)
+        class_masks.pop()
         classes.pop()
 
     rec(0, 0)
-    ordered = sorted(masks, key=_popcount)
     kept: list[int] = []
-    for mask in ordered:
+    for mask in sorted(masks, key=int.bit_count):
         if not any(km & mask == km for km in kept):
             kept.append(mask)
     return kept
@@ -711,10 +728,10 @@ def _theta_robust(G: Graph, s: int):
     counter = _HitCounter()
 
     best_F: frozenset[Edge] = frozenset()
-    best_val, best_cert, _ = _classical_kernel(G, "theta")
+    best_val, best_cert, _ = _classical_kernel(n, G.adjacency_masks(), "theta")
     # greedy incumbent: a maximal removable set grown in edge order
     greedy = _maximal_extension(G, s, frozenset())
-    val, cert, _ = _classical_kernel(Graph(n, G.edges - greedy), "theta")
+    val, cert, _ = _classical_kernel(n, _removed_masks(G, greedy), "theta")
     if val > best_val:
         best_val, best_F, best_cert = val, greedy, cert
 
@@ -724,7 +741,7 @@ def _theta_robust(G: Graph, s: int):
         if hit is None:
             break
         F = frozenset(hit)
-        val, cert, _ = _classical_kernel(Graph(n, G.edges - F), "theta")
+        val, cert, _ = _classical_kernel(n, _removed_masks(G, F), "theta")
         if val <= best_val:
             # a set meeting every best_val-class cover must raise theta;
             # without this check the loop would re-solve the same targets
@@ -898,7 +915,7 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
     count = 0
     for F in enumerate_removable_sets(G, s, mode, edge_cap=edge_cap):
         count += 1
-        val, cert, _ = _classical_kernel(Graph(G.n, G.edges - F), which)
+        val, cert, _ = _classical_kernel(G.n, _removed_masks(G, F), which)
         if best is None or (val < best[0] if minimize else val > best[0]):
             best = (val, F, cert)
     val, F, cert = best

@@ -87,7 +87,7 @@ def exactness_filters(G: Graph, caps: SolverCaps = DEFAULT_CAPS,
     bad_edge = None
     masks = G.adjacency_masks()
     for u, v in G.sorted_edges():
-        tri = bin(masks[u] & masks[v]).count("1")
+        tri = (masks[u] & masks[v]).bit_count()
         if tri < 2:
             bad_edge = (u, v, tri)
             break

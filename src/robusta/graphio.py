@@ -6,7 +6,12 @@ Graph lives on 0..n-1 internally.
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import DEGENERACY_GADGET_ORDER_CAP, Graph
+
+# Largest vertex or bag count a file header may declare.  The parsers
+# allocate what the header declares, so a larger count is rejected before
+# anything is built; this is the order of the largest graph robusta builds.
+HEADER_COUNT_CAP = DEGENERACY_GADGET_ORDER_CAP
 
 
 class ParseError(ValueError):
@@ -48,6 +53,9 @@ def parse_dimacs(text: str) -> tuple[Graph, dict]:
                 raise ParseError("non-integer counts in problem line", line_no) from None
             if n < 0:
                 raise ParseError(f"negative vertex count {n}", line_no)
+            if n > HEADER_COUNT_CAP:
+                raise ParseError(f"vertex count {n} above the limit {HEADER_COUNT_CAP}",
+                                 line_no)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", line_no)

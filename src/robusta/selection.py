@@ -272,11 +272,12 @@ class RemovableSet:
     def can_add(self, e: Edge) -> bool:
         uf = self._uf
         if uf is not None:
-            # the hot test of the s = 1 searches: skip push's bookkeeping
-            mark = uf.checkpoint()
-            ok = uf.add_edge(*e)
-            uf.rollback(mark)
-            return ok
+            # the hot test of the s = 1 searches: read the component
+            # counters, write nothing (add_edge's answer without the undo)
+            ru, rv = uf.find(e[0]), uf.find(e[1])
+            if ru == rv:
+                return uf.edges[ru] < uf.verts[ru]
+            return uf.edges[ru] + uf.edges[rv] < uf.verts[ru] + uf.verts[rv]
         if not self.push(e):
             return False
         self.pop()

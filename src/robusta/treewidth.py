@@ -42,9 +42,9 @@ import time
 from dataclasses import dataclass
 
 from .graph import Graph
-from .graphio import ParseError
+from .graphio import HEADER_COUNT_CAP, ParseError
 from .exact import (DEFAULT_CAPS, CapExceeded, ParameterResult, SolverCaps,
-                    _max_clique, classical_parameter)
+                    _max_clique, _removed_masks, classical_parameter)
 from .selection import Edge
 
 
@@ -188,9 +188,9 @@ def _td_int(token: str, line_no: int, low: int = 1, high: int | None = None,
 
 def read_td(text: str) -> TreeDecomposition:
     """Parse the PACE .td format written by write_td; malformed input raises
-    graphio.ParseError naming the line: a missing or repeated s-line, a
-    repeated bag, a bag or tree-edge index outside 1..bag count, or a vertex
-    id below 1."""
+    graphio.ParseError naming the line: a missing or repeated s-line, a bag
+    count above graphio.HEADER_COUNT_CAP, a repeated bag, a bag or tree-edge
+    index outside 1..bag count, or a vertex id below 1."""
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     count = None
@@ -204,7 +204,8 @@ def read_td(text: str) -> TreeDecomposition:
                 raise ParseError("second s-line header", line_no)
             if len(parts) < 3:
                 raise ParseError("malformed s-line, expected 's td bags width n'", line_no)
-            count = _td_int(parts[2], line_no, low=0, what="bag count")
+            count = _td_int(parts[2], line_no, low=0, high=HEADER_COUNT_CAP,
+                            what="bag count")
             continue
         if count is None:
             raise ParseError("bag or tree edge line before the s-line header", line_no)
@@ -882,7 +883,7 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
                                                lambda *a: None)
                 # t is minimal, so the removed graph's largest clique has
                 # exactly t vertices
-                clique, _ = _max_clique(G.n, Graph(G.n, G.edges - removed).adjacency_masks())
+                clique, _ = _max_clique(G.n, _removed_masks(G, removed))
                 if len(clique) != t:
                     raise AssertionError(
                         f"omega1 dp decided {t}, but the removed graph has a "

@@ -148,6 +148,15 @@ def test_malformed_input_exit3(tmp_path):
     assert code == 3
 
 
+def test_header_count_above_cap_exit3(tmp_path, capsys):
+    big = tmp_path / "big.col"
+    big.write_text("p edge 1000000 0\n")
+    code, _ = run_cli(["compute", "--input", str(big), "--format", "dimacs",
+                       "--param", "chi", "--no-timing"])
+    assert code == 3
+    assert "line 1: vertex count 1000000 above the limit" in capsys.readouterr().err
+
+
 def test_decompose():
     code, report = run_cli(["decompose", "--gen", "complete:7", "--no-timing"])
     assert code == 0

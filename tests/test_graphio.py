@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from robusta import Graph, complete, erdos_renyi, parse_graph, to_dot, write_dimacs, write_edgelist
-from robusta.graphio import ParseError, parse_dimacs, parse_edgelist
+from robusta.graphio import HEADER_COUNT_CAP, ParseError, parse_dimacs, parse_edgelist
 from robusta.treewidth import read_td
 
 
@@ -40,6 +40,9 @@ def test_parse_errors_carry_line_numbers():
         parse_dimacs("e 1 2\n")  # edge before header
     with pytest.raises(ParseError):
         parse_dimacs("p edge 3 5\ne 1 2\n")  # declared count mismatch
+    with pytest.raises(ParseError, match="line 2:.*above the limit"):
+        parse_dimacs("c big\np edge 1000000 0\n")  # rejected before allocating
+    assert parse_dimacs(f"p edge {HEADER_COUNT_CAP} 0\n")[0].n == HEADER_COUNT_CAP
     with pytest.raises(ParseError):
         parse_edgelist("1 2 3\n")
     with pytest.raises(ParseError):
@@ -66,8 +69,8 @@ def test_dot_export():
 
 # Line-shaped texts built from the keywords of all three formats, small
 # integers and short arbitrary strings, mixed with wholly arbitrary text.
-# Numbers stay small: a header may declare that many vertices or bags, and
-# the parsers allocate them.
+# Numbers stay small: a header may declare that many vertices or bags (up
+# to HEADER_COUNT_CAP), and the parsers allocate them.
 _NUMBER = st.integers(min_value=-3, max_value=9).map(str)
 _TOKEN = st.one_of(_NUMBER, st.sampled_from(["#", "-", "+1", "0x1", "1.5", "1_0", ""]),
                    st.text(max_size=3))
@@ -84,6 +87,8 @@ _TEXTS = st.one_of(st.text(max_size=60),
                          ids=["dimacs", "edgelist", "td"])
 @given(text=_TEXTS)
 @example(text="p edge -3 0\n")
+@example(text="p edge 1000000 0\n")
+@example(text="s td 1000000 1 1\n")
 @settings(max_examples=200, deadline=None)
 def test_parsers_raise_only_parse_error(parse, text):
     """Any text either parses or raises ParseError, never another exception."""

@@ -50,9 +50,29 @@ def test_is_removable_matches_exhaustive_orientations():
                     assert max(out, default=0) <= s
 
 
+def _removable_state(F):
+    """F's edges and, at s = 1, the whole union-find state."""
+    uf = F._uf
+    if uf is None:
+        return list(F.edges), None
+    return list(F.edges), (list(uf.trail), uf.parent[:], uf.rank[:],
+                           uf.edges[:], uf.verts[:])
+
+
+def _can_add_each(F, edges):
+    """F.can_add for every edge, checking that asking changes nothing."""
+    answers = []
+    for e in edges:
+        before = _removable_state(F)
+        answers.append(F.can_add(e))
+        assert _removable_state(F) == before, e
+    return answers
+
+
 def test_removable_set_matches_exhaustive_orientations():
     """Random push/pop/can_add walks; every answer is checked against the
-    brute force, and pop() must restore every can_add answer."""
+    brute force, can_add must leave F and its union-find untouched, and
+    pop() must restore every can_add answer."""
     rng = random.Random(2024)
     cases = [(erdos_renyi(6, 0.6, seed), s) for seed in range(8) for s in (0, 1, 2, 3)]
     # with at most 10 edges on 6 vertices every s = 2 push succeeds; in K6,
@@ -74,13 +94,13 @@ def test_removable_set_matches_exhaustive_orientations():
         snapshots = []
         for _ in range(40):
             outside = [e for e in edges if e not in F.edges]
-            answers = [F.can_add(e) for e in outside]
+            answers = _can_add_each(F, outside)
             assert answers == [removable(F.edges + [e]) for e in outside], (G.m, s)
             if F.edges and (not outside or rng.random() < 0.25):
                 before, prior = snapshots.pop()
                 F.pop()
                 assert F.edges == prior
-                assert [F.can_add(e) for e in edges if e not in F.edges] == before
+                assert _can_add_each(F, [e for e in edges if e not in F.edges]) == before
                 continue
             e = rng.choice(outside)
             prior = list(F.edges)
@@ -90,7 +110,7 @@ def test_removable_set_matches_exhaustive_orientations():
             else:
                 assert not removable(prior + [e])
                 assert F.edges == prior
-                assert [F.can_add(x) for x in outside] == answers
+                assert _can_add_each(F, outside) == answers
 
 
 def test_is_removable_examples():

@@ -1,7 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "robusta"
 
@@ -17,3 +22,25 @@ def test_src_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements in src/robusta: {', '.join(found)}"
+
+
+@pytest.mark.parametrize("args", [
+    ["--gen", "erdos_renyi:8,0.5", "--seed", "3",
+     "--param", "chi,omega,alpha,theta,chiprime", "--s", "1"],
+    ["--gen", "erdos_renyi:6,0.5", "--seed", "7",
+     "--param", "chi,omega,alpha,theta,chiprime", "--s", "2", "--engine", "oracle"],
+], ids=["exact-s1", "oracle-s2"])
+def test_optimized_mode_report_is_identical(args):
+    """`python -O` runs the same code minus `assert`: the report bytes of the
+    exact and oracle tiers must not change."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "robusta.cli", "compute",
+                               *args, "--no-timing"],
+                              capture_output=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]

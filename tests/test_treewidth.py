@@ -94,6 +94,7 @@ def test_td_format_roundtrip():
     ("s td 1 1 1\nb 1 0\n", 2),               # vertex id below 1
     ("s td 1 1 2\nb 1 1\nb 1 2\n", 3),         # second line for one bag
     ("b 1 1\ns td 1 1 1\n", 1),               # bag before the header
+    ("s td 1000000 1 1\n", 1),               # bag count above HEADER_COUNT_CAP
 ])
 def test_read_td_malformed_lines(text, line_no):
     with pytest.raises(ParseError, match=f"line {line_no}:"):
