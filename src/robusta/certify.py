@@ -41,9 +41,10 @@ def validate_result(G: Graph, result: dict) -> None:
     s = result.get("s", 0)
     value = result["value"]
     cert = result["certificate"]
+    if param in ("chi", "omega", "alpha", "theta", "chi_prime"):
+        F = _check_removed(G, cert, s)
 
     if param == "chi":
-        F = _check_removed(G, cert, s) if s else frozenset()
         coloring = cert["coloring"]
         if len(coloring) != G.n:
             raise CertificateError("coloring length mismatch")
@@ -59,7 +60,6 @@ def validate_result(G: Graph, result: dict) -> None:
             if seen != set(range(G.n)):
                 raise CertificateError("partition does not cover the vertices")
     elif param == "omega":
-        F = _check_removed(G, cert, s) if s else frozenset()
         clique = cert["clique"]
         if len(clique) != value:
             raise CertificateError("clique size differs from the value")
@@ -69,7 +69,6 @@ def validate_result(G: Graph, result: dict) -> None:
                 if e not in G.edges or e in F:
                     raise CertificateError(f"clique pair ({u},{v}) is not a surviving edge")
     elif param == "alpha":
-        F = _check_removed(G, cert, s) if s else frozenset()
         S = cert["independent_set"]
         if len(S) != value:
             raise CertificateError("independent set size differs from the value")
@@ -79,7 +78,6 @@ def validate_result(G: Graph, result: dict) -> None:
                 if e in G.edges and e not in F:
                     raise CertificateError(f"pair ({u},{v}) stays adjacent")
     elif param == "theta":
-        F = _check_removed(G, cert, s) if s else frozenset()
         cover = cert["clique_cover"]
         if cover is None:
             raise CertificateError("certificate omits the clique cover")
@@ -99,7 +97,6 @@ def validate_result(G: Graph, result: dict) -> None:
         if seen != set(range(G.n)):
             raise CertificateError("cover misses vertices")
     elif param == "chi_prime":
-        F = _check_removed(G, cert, s) if s else frozenset()
         coloring = {tuple(sorted(e)): c for e, c in cert["edge_coloring"]}
         survivors = G.edges - F
         if set(coloring) != set(survivors):
@@ -147,10 +144,6 @@ def validate_result(G: Graph, result: dict) -> None:
             raise CertificateError("induced subgraph is not quasi-unicyclic")
     else:
         raise CertificateError(f"unknown parameter {param!r}")
-
-
-def validate_result_json(G: Graph, text: str) -> None:
-    validate_result(G, json.loads(text))
 
 
 def _main(argv) -> int:

@@ -36,8 +36,7 @@ from .graph import (Graph, blow_up, disjoint_union, erdos_renyi, generate,
                     random_multipartite, union_graphs, walecki_cycles)
 from .graphio import ParseError, read_graph_file
 from .poly import (degeneracy_greedy, degeneracy_order, edge_color_reduction,
-                   max_degree_partition, min_outdegree_orientation,
-                   quasi_unicyclic_edge_decomposition)
+                   max_degree_partition, quasi_unicyclic_edge_decomposition)
 from .treewidth import dp_robust, heuristic_decomposition, make_nice
 
 EXIT_OK = 0
@@ -172,28 +171,23 @@ def _result_dict(res) -> dict:
 
 
 def _compute_one(G: Graph, base: str, s: int, engine: str, caps: SolverCaps):
-    if engine == "oracle":
-        if base == "iota":
-            return iota(G, caps)
-        if s == 0:
-            return classical_parameter(G, base, caps)
-        return oracle_robust(G, base, s, caps)
+    """The one map from (engine, parameter, s) to a solver.  The tier
+    functions are looked up in this module at call time, so rebinding
+    `cli.<name>` reaches them."""
     if engine == "dp":
         if s != 1 or base not in ("chi", "omega", "alpha", "theta"):
             raise CliError("engine dp supports chi1, omega1, alpha1, theta1 only")
         nice = make_nice(heuristic_decomposition(G), G)
         return dp_robust(G, nice, base + "1", caps=caps)
+    if base == "iota":
+        return iota(G, caps)
+    if s == 0:
+        return classical_parameter(G, base, caps)
+    if engine == "oracle":
+        return oracle_robust(G, base, s, caps)
     if engine == "maximal":
-        if s == 0:
-            return classical_parameter(G, base, caps)
-        return robust_via_maximal(G, base, s, caps)
-    if engine == "exact":
-        if base == "iota":
-            return iota(G, caps)
-        if base in ("arboricity", "degeneracy") or s == 0:
-            return classical_parameter(G, base, caps)
-        return robust_parameter(G, base, s, caps=caps)
-    raise CliError(f"unknown engine {engine!r}")
+        return robust_via_maximal(G, base, s)
+    return robust_parameter(G, base, s, caps=caps)
 
 
 def _poly_bounds(G: Graph, base: str, s: int) -> dict:
@@ -276,13 +270,14 @@ def cmd_decompose(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
+def _row(name, lhs, rhs, ok=None) -> dict:
+    """One verify row; `ok` defaults to lhs <= rhs."""
+    ok = (lhs <= rhs) if ok is None else ok
+    return {"inequality": name, "lhs": lhs, "rhs": rhs, "pass": bool(ok)}
+
+
 def _sandwich_rows(G: Graph, s_values, caps) -> list[dict]:
     rows = []
-
-    def row(name, lhs, rhs, ok=None):
-        ok = (lhs <= rhs) if ok is None else ok
-        rows.append({"inequality": name, "lhs": lhs, "rhs": rhs, "pass": bool(ok)})
-
     chi = classical_parameter(G, "chi", caps).value
     omega = classical_parameter(G, "omega", caps).value
     alpha = classical_parameter(G, "alpha", caps).value
@@ -297,39 +292,34 @@ def _sandwich_rows(G: Graph, s_values, caps) -> list[dict]:
     for s in s_values:
         chs, oms = vals[("chi", s)], vals[("omega", s)]
         als, ths = vals[("alpha", s)], vals[("theta", s)]
-        row(f"chi_{s} >= omega_{s}", oms, chs)
+        rows.append(_row(f"chi_{s} >= omega_{s}", oms, chs))
         if als:
-            row(f"chi_{s} >= n/alpha_{s}", -(-G.n // als), chs)
-        row(f"theta_{s} >= alpha_{s}", als, ths)
+            rows.append(_row(f"chi_{s} >= n/alpha_{s}", -(-G.n // als), chs))
+        rows.append(_row(f"theta_{s} >= alpha_{s}", als, ths))
         if oms:
-            row(f"theta_{s} >= n/omega_{s}", -(-G.n // oms), ths)
+            rows.append(_row(f"theta_{s} >= n/omega_{s}", -(-G.n // oms), ths))
     if 1 in s_values:
         chi1 = vals[("chi", 1)]
         omega1 = vals[("omega", 1)]
         theta1 = vals[("theta", 1)]
-        row("ceil(chi/3) <= chi1", -(-chi // 3), chi1)
-        row("chi1 <= chi", chi1, chi)
-        row("ceil(omega/3) <= omega1", -(-omega // 3), omega1)
-        row("omega1 <= omega", omega1, omega)
+        rows.append(_row("ceil(chi/3) <= chi1", -(-chi // 3), chi1))
+        rows.append(_row("chi1 <= chi", chi1, chi))
+        rows.append(_row("ceil(omega/3) <= omega1", -(-omega // 3), omega1))
+        rows.append(_row("omega1 <= omega", omega1, omega))
         isolated = [v for v in range(G.n) if G.degree(v) == 0]
         if not isolated:
-            row("theta <= theta1", theta, theta1)
-            row("theta1 <= 3*theta", theta1, 3 * theta)
-        row("ceil(a/2) <= chi1", -(-arb // 2), chi1)
-        row("chi1 <= a", chi1, arb)
-        row("chi1 <= ceil((Delta+1)/3)", chi1, -(-(delta + 1) // 3))
-        row("chi1 <= floor(d/2)+1", chi1, d // 2 + 1)
+            rows.append(_row("theta <= theta1", theta, theta1))
+            rows.append(_row("theta1 <= 3*theta", theta1, 3 * theta))
+        rows.append(_row("ceil(a/2) <= chi1", -(-arb // 2), chi1))
+        rows.append(_row("chi1 <= a", chi1, arb))
+        rows.append(_row("chi1 <= ceil((Delta+1)/3)", chi1, -(-(delta + 1) // 3)))
+        rows.append(_row("chi1 <= floor(d/2)+1", chi1, d // 2 + 1))
     return rows
 
 
 def _operations_rows(G: Graph, seed: int, caps) -> list[dict]:
     import random as _random
     rows = []
-
-    def row(name, lhs, rhs, ok=None):
-        ok = (lhs <= rhs) if ok is None else ok
-        rows.append({"inequality": name, "lhs": lhs, "rhs": rhs, "pass": bool(ok)})
-
     rng = _random.Random(seed)
     chi1 = robust_chromatic(G, 1, caps).value
     # monotonicity under edge deletion
@@ -337,29 +327,29 @@ def _operations_rows(G: Graph, seed: int, caps) -> list[dict]:
         edges = G.sorted_edges()
         e = edges[rng.getrandbits(16) % len(edges)]
         H = Graph(G.n, G.edges - {e})
-        row("chi1(G-e) <= chi1(G)", robust_chromatic(H, 1, caps).value, chi1)
-        row("omega1(G-e) <= omega1(G)",
-            robust_parameter(H, "omega", 1, caps=caps).value,
-            robust_parameter(G, "omega", 1, caps=caps).value)
-        row("alpha1(G) <= alpha1(G-e)",
-            robust_parameter(G, "alpha", 1, caps=caps).value,
-            robust_parameter(H, "alpha", 1, caps=caps).value)
-        row("theta1(G) <= theta1(G-e)",
-            robust_parameter(G, "theta", 1, caps=caps).value,
-            robust_parameter(H, "theta", 1, caps=caps).value)
-    # vertex-disjoint union laws against a small partner
+        rows.append(_row("chi1(G-e) <= chi1(G)", robust_chromatic(H, 1, caps).value, chi1))
+        rows.append(_row("omega1(G-e) <= omega1(G)",
+                         robust_parameter(H, "omega", 1, caps=caps).value,
+                         robust_parameter(G, "omega", 1, caps=caps).value))
+        rows.append(_row("alpha1(G) <= alpha1(G-e)",
+                         robust_parameter(G, "alpha", 1, caps=caps).value,
+                         robust_parameter(H, "alpha", 1, caps=caps).value))
+        rows.append(_row("theta1(G) <= theta1(G-e)",
+                         robust_parameter(G, "theta", 1, caps=caps).value,
+                         robust_parameter(H, "theta", 1, caps=caps).value))
+    # vertex-disjoint union laws against a small partner; chi_1 is capped
+    # at robust_chi_n, theta_1 at robust_n
     H = erdos_renyi(4, 0.5, seed + 101)
     D = disjoint_union([G, H])
     if D.n <= caps.robust_chi_n:
-        row("chi1 disjoint-union law",
-            robust_chromatic(D, 1, caps).value,
-            max(chi1, robust_chromatic(H, 1, caps).value), ok=None)
-        rows[-1]["pass"] = rows[-1]["lhs"] == rows[-1]["rhs"]
+        lhs = robust_chromatic(D, 1, caps).value
+        rhs = max(chi1, robust_chromatic(H, 1, caps).value)
+        rows.append(_row("chi1 disjoint-union law", lhs, rhs, ok=lhs == rhs))
+    if D.n <= caps.robust_n:
         ta = robust_parameter(G, "theta", 1, caps=caps).value
         tb = robust_parameter(H, "theta", 1, caps=caps).value
         td = robust_parameter(D, "theta", 1, caps=caps).value
-        rows.append({"inequality": "theta1 disjoint-union law",
-                     "lhs": td, "rhs": ta + tb, "pass": td == ta + tb})
+        rows.append(_row("theta1 disjoint-union law", td, ta + tb, ok=td == ta + tb))
     # same-vertex-set union bound
     H2 = erdos_renyi(G.n, 0.3, seed + 77)
     U = union_graphs([G, H2])
@@ -368,53 +358,46 @@ def _operations_rows(G: Graph, seed: int, caps) -> list[dict]:
         chi1H2 = robust_chromatic(H2, 1, caps).value
         chiG = classical_parameter(G, "chi", caps).value
         bound = min(chiG * chi1H2, chi1 * chiH2)
-        row("chi1(G u H) <= min(chi*chi1)", robust_chromatic(U, 1, caps).value, bound)
+        rows.append(_row("chi1(G u H) <= min(chi*chi1)",
+                         robust_chromatic(U, 1, caps).value, bound))
     return rows
 
 
 def _union_rows(k: int, caps) -> list[dict]:
-    rows = []
     cycles = walecki_cycles(k)
     union = union_graphs(cycles)
     chi1_union = robust_chromatic(union, 1, caps).value
     prod = 1
     for c in cycles:
         prod *= robust_chromatic(c, 1, caps).value
-    bound = (2 * k + 1) * prod
-    rows.append({"inequality": f"chi1(union of {k} hamiltonian cycles) <= (2k+1)*prod",
-                 "lhs": chi1_union, "rhs": bound, "pass": chi1_union <= bound})
-    lower = (2 * k + 1) / 3
-    rows.append({"inequality": "(2k+1)/3 <= chi1(union)",
-                 "lhs": lower, "rhs": chi1_union, "pass": lower <= chi1_union})
     expected = -(-(2 * k + 1) // 3)
-    rows.append({"inequality": "chi1(K_{2k+1}) = ceil((2k+1)/3)",
-                 "lhs": chi1_union, "rhs": expected, "pass": chi1_union == expected})
-    return rows
+    return [
+        _row(f"chi1(union of {k} hamiltonian cycles) <= (2k+1)*prod",
+             chi1_union, (2 * k + 1) * prod),
+        _row("(2k+1)/3 <= chi1(union)", (2 * k + 1) / 3, chi1_union),
+        _row("chi1(K_{2k+1}) = ceil((2k+1)/3)", chi1_union, expected,
+             ok=chi1_union == expected),
+    ]
 
 
 def _degree_rows(G: Graph, caps) -> list[dict]:
-    rows = []
     delta = G.max_degree()
     k = max(1, -(-(delta + 1) // 3))
     rc, moves = max_degree_partition(G, k)
-    rows.append({"inequality": "local search moves <= |E|",
-                 "lhs": moves, "rhs": G.m, "pass": moves <= G.m})
     ok = True
     for c in range(rc.k):
         cls = [v for v in range(G.n) if rc.coloring[v] == c]
         sub, _ = G.induced_subgraph(cls)
         ok &= sub.max_degree() <= 2
-    rows.append({"inequality": "classes induce max degree <= 2",
-                 "lhs": int(not ok), "rhs": 0, "pass": ok})
+    rows = [_row("local search moves <= |E|", moves, G.m),
+            _row("classes induce max degree <= 2", int(not ok), 0, ok=ok)]
     if G.n <= caps.robust_chi_n:
-        chi1 = robust_chromatic(G, 1, caps).value
-        rows.append({"inequality": "chi1 <= ceil((Delta+1)/3)", "lhs": chi1,
-                     "rhs": k, "pass": chi1 <= k})
+        rows.append(_row("chi1 <= ceil((Delta+1)/3)",
+                         robust_chromatic(G, 1, caps).value, k))
     return rows
 
 
 def _degeneracy_rows(G: Graph, caps) -> list[dict]:
-    rows = []
     rc = degeneracy_greedy(G)
     d, _ = degeneracy_order(G)
     try:
@@ -422,14 +405,11 @@ def _degeneracy_rows(G: Graph, caps) -> list[dict]:
         valid = True
     except ValueError:
         valid = False
-    rows.append({"inequality": "greedy coloring proper on removed graph",
-                 "lhs": int(not valid), "rhs": 0, "pass": valid})
-    rows.append({"inequality": "greedy k <= floor(d/2)+1", "lhs": rc.k,
-                 "rhs": d // 2 + 1, "pass": rc.k <= d // 2 + 1})
+    rows = [_row("greedy coloring proper on removed graph", int(not valid), 0, ok=valid),
+            _row("greedy k <= floor(d/2)+1", rc.k, d // 2 + 1)]
     if G.n <= caps.robust_chi_n:
-        chi1 = robust_chromatic(G, 1, caps).value
-        rows.append({"inequality": "chi1 <= floor(d/2)+1", "lhs": chi1,
-                     "rhs": d // 2 + 1, "pass": chi1 <= d // 2 + 1})
+        rows.append(_row("chi1 <= floor(d/2)+1",
+                         robust_chromatic(G, 1, caps).value, d // 2 + 1))
     return rows
 
 
@@ -439,15 +419,9 @@ def _edge_index_rows(G: Graph, caps) -> list[dict]:
     chi_prime1 = robust_parameter(G, "chi_prime", 1, caps=caps).value
     if delta > 1:
         chi_prime = classical_parameter(G, "chi_prime", caps).value
-        rows.append({"inequality": "chi_prime1 <= chi_prime - 2",
-                     "lhs": chi_prime1, "rhs": chi_prime - 2,
-                     "pass": chi_prime1 <= chi_prime - 2})
-        rows.append({"inequality": "chi_prime1 <= Delta - 1",
-                     "lhs": chi_prime1, "rhs": delta - 1,
-                     "pass": chi_prime1 <= delta - 1})
-    rows.append({"inequality": "delta - 2 <= chi_prime1",
-                 "lhs": small_delta - 2, "rhs": chi_prime1,
-                 "pass": small_delta - 2 <= chi_prime1})
+        rows.append(_row("chi_prime1 <= chi_prime - 2", chi_prime1, chi_prime - 2))
+        rows.append(_row("chi_prime1 <= Delta - 1", chi_prime1, delta - 1))
+    rows.append(_row("delta - 2 <= chi_prime1", small_delta - 2, chi_prime1))
     return rows
 
 

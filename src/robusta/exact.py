@@ -33,7 +33,6 @@ Strategy notes for the robust (selection-adversarial) parameters:
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -61,7 +60,6 @@ class SolverCaps:
     robust_n: int = 12
     oracle_edges: int = 18
     chi_prime_edges: int = 45
-    canonical_n: int = 10
     explorer_n: int = 7
     filters_n: int = 16
 
@@ -84,15 +82,6 @@ class ParameterResult:
     value: int
     certificate: dict
     stats: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "parameter": self.parameter,
-            "s": self.s,
-            "value": self.value,
-            "certificate": self.certificate,
-            "stats": self.stats,
-        }, sort_keys=True)
 
 
 def _bits(mask: int):
@@ -308,7 +297,7 @@ def _mask_forest(G: Graph, mask: int) -> bool:
     return True
 
 
-def _min_partition(G: Graph, feasible, lb: int = 1):
+def _min_partition(G: Graph, feasible):
     """Fewest classes with every class mask accepted by `feasible`.
 
     Iterative deepening over k; vertices placed in descending degree order;
@@ -347,7 +336,7 @@ def _min_partition(G: Graph, feasible, lb: int = 1):
 
         return classes if rec(0) else None
 
-    for k in range(max(1, lb), n + 1):
+    for k in range(1, n + 1):
         classes = decide(k)
         if classes is not None:
             return k, [c for c in classes if c], nodes
@@ -462,12 +451,8 @@ def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -
 # ---------------------------------------------------------------------------
 
 
-def robust_chromatic(G: Graph, s: int = 1, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
+def _chi_robust(G: Graph, s: int):
     """chi_s by partition search, with partition + selection + coloring certificate."""
-    t0 = time.perf_counter()
-    if s == 0:
-        return classical_parameter(G, "chi", caps)
-    _require(G.n <= caps.robust_chi_n, "robust chi", G.n, caps.robust_chi_n)
     value, class_masks, nodes = _min_partition(G, lambda mask: _mask_orientable(G, mask, s))
     classes = [sorted(_bits(c)) for c in class_masks]
     intra = [e for e in G.sorted_edges()
@@ -477,15 +462,12 @@ def robust_chromatic(G: Graph, s: int = 1, caps: SolverCaps = DEFAULT_CAPS) -> P
     for ci, c in enumerate(classes):
         for v in c:
             coloring[v] = ci
-    cert = {
+    return value, {
         "partition": classes,
         "selection": sel.to_pairs(),
         "removed_edges": [list(e) for e in sorted(sel.removed_edges())],
         "coloring": coloring,
-    }
-    elapsed = (time.perf_counter() - t0) * 1000
-    return ParameterResult("chi", s, value, cert,
-                           {"nodes": nodes, "elapsed_ms": elapsed})
+    }, nodes
 
 
 def iota(G: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
@@ -932,32 +914,28 @@ def oracle_robust(G: Graph, which: str, s: int,
     return _enumerated_robust(G, which, s, "all", caps.oracle_edges)
 
 
-def robust_via_maximal(G: Graph, which: str, s: int,
-                       caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
+def robust_via_maximal(G: Graph, which: str, s: int) -> ParameterResult:
     """Generic solver over inclusion-maximal removable sets (monotonicity:
     removing more edges never hurts the objective)."""
     return _enumerated_robust(G, which, s, "maximal", None)
 
 
-def robust_parameter(G: Graph, which: str, s: int, engine: str = "exact",
+def robust_parameter(G: Graph, which: str, s: int,
                      caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
+    """The exact tier: the specialized search for `which` at budget s,
+    and the classical parameter at s = 0."""
     if which not in ROBUST:
         raise ValueError(f"unknown robust parameter {which!r}")
     if s < 0:
         raise ValueError("budget must be non-negative")
     if s == 0:
         return classical_parameter(G, which, caps)
-    if engine == "oracle":
-        return oracle_robust(G, which, s, caps)
-    if engine == "maximal":
-        return robust_via_maximal(G, which, s, caps)
-    if engine != "exact":
-        raise ValueError(f"unknown engine {engine!r}")
-    if which == "chi":
-        return robust_chromatic(G, s, caps)
-    _require(G.n <= caps.robust_n, f"robust {which}", G.n, caps.robust_n)
+    cap = caps.robust_chi_n if which == "chi" else caps.robust_n
+    _require(G.n <= cap, f"robust {which}", G.n, cap)
     t0 = time.perf_counter()
-    if which == "alpha":
+    if which == "chi":
+        value, cert, nodes = _chi_robust(G, s)
+    elif which == "alpha":
         value, cert, nodes = _alpha_robust(G, s)
     elif which == "omega":
         value, cert, nodes = _omega_robust(G, s)
@@ -970,21 +948,28 @@ def robust_parameter(G: Graph, which: str, s: int, engine: str = "exact",
                            {"nodes": nodes, "elapsed_ms": elapsed})
 
 
+def robust_chromatic(G: Graph, s: int = 1, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
+    """chi_s through the exact tier."""
+    return robust_parameter(G, "chi", s, caps)
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 # ---------------------------------------------------------------------------
 
 
-def canonical_form(G: Graph, cap: int | None = None) -> str:
+CANONICAL_N = 10  # largest order canonical_form accepts
+
+
+def canonical_form(G: Graph) -> str:
     """Label string equal for two graphs iff they are isomorphic.
 
     Minimal adjacency bit string over all vertex orderings, searched with
     row-wise greedy pruning and twin elimination.  Sized for n <= 10.
     """
     n = G.n
-    limit = cap if cap is not None else DEFAULT_CAPS.canonical_n
-    if n > limit:
-        raise CapExceeded(f"canonical_form: {n} exceeds cap {limit}")
+    if n > CANONICAL_N:
+        raise CapExceeded(f"canonical_form: {n} exceeds cap {CANONICAL_N}")
     if n == 0:
         return "n0:"
     masks = G.adjacency_masks()

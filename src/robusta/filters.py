@@ -45,13 +45,6 @@ class FilterReport:
     verdicts: dict[str, FilterVerdict]
     conclusion: str  # cannot-be-exact | candidate
 
-    def to_dict(self) -> dict:
-        return {
-            "verdicts": {k: {"status": v.status, "witness": v.witness}
-                         for k, v in self.verdicts.items()},
-            "conclusion": self.conclusion,
-        }
-
 
 def exactness_filters(G: Graph, caps: SolverCaps = DEFAULT_CAPS,
                       minimal_context: bool = False,

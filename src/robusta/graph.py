@@ -47,17 +47,11 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -339,7 +333,7 @@ def arboricity_gadget(k: int) -> Graph:
 DEGENERACY_GADGET_ORDER_CAP = 100_000
 
 
-def degeneracy_gadget(k: int, order_cap: int = DEGENERACY_GADGET_ORDER_CAP) -> Graph:
+def degeneracy_gadget(k: int) -> Graph:
     """Layered gadget with degeneracy exactly 2k.
 
     V0 induces K_{2k}; each later layer is independent, and every 2k-subset of
@@ -357,8 +351,9 @@ def degeneracy_gadget(k: int, order_cap: int = DEGENERACY_GADGET_ORDER_CAP) -> G
         size = (k + 1) * math.comb(total, 2 * k)
         layer_sizes.append(size)
         total += size
-        if total > order_cap:
-            raise ValueError(f"degeneracy gadget for k={k} exceeds order cap {order_cap}")
+        if total > DEGENERACY_GADGET_ORDER_CAP:
+            raise ValueError(f"degeneracy gadget for k={k} exceeds order cap "
+                             f"{DEGENERACY_GADGET_ORDER_CAP}")
 
     base = list(range(2 * k))
     edges = list(itertools.combinations(base, 2))

@@ -129,8 +129,8 @@ def write_edgelist(G: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in G.sorted_edges())
 
 
-def to_dot(G: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(G: Graph) -> str:
+    lines = ["graph G {"]
     lines += [f"  {v};" for v in range(G.n) if not G.adj[v]]
     lines += [f"  {u} -- {v};" for u, v in G.sorted_edges()]
     lines.append("}")

@@ -9,7 +9,6 @@ or neighbor id so that tests can pin outputs.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -54,14 +53,6 @@ class Decomposition:
     def k(self) -> int:
         return len(self.classes)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "classes": [[list(e) for e in cls] for cls in self.classes],
-            "arcs": [list(a) for a in self.orientation.arcs()],
-            "max_outdegree": self.orientation.max_outdegree,
-            "witness": list(self.orientation.witness),
-        })
-
 
 @dataclass(frozen=True)
 class RobustColoring:
@@ -77,13 +68,6 @@ class RobustColoring:
         for u, v in G.edges:
             if (u, v) not in removed and self.coloring[u] == self.coloring[v]:
                 raise ValueError(f"surviving edge ({u},{v}) is monochromatic")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "selection": self.selection.to_pairs(),
-            "coloring": list(self.coloring),
-            "k": self.k,
-        })
 
 
 def min_outdegree_orientation(G: Graph) -> Orientation:

@@ -250,9 +250,6 @@ class NiceTreeDecomposition:
     def width(self) -> int:
         return max((len(nd.bag) for nd in self.nodes), default=1) - 1
 
-    def postorder(self) -> list[int]:
-        return _postorder(self.nodes, self.root)
-
     def validate(self, G: Graph):
         bags = [nd.bag for nd in self.nodes]
         edges = []
@@ -593,10 +590,26 @@ def _collect_certificate(prov, nodes, top, key, collect):
 # -- strategies --------------------------------------------------------------
 
 
-class _AlphaStrategy:
-    """Largest independent set in the removed graph, cooperative max."""
+class _Strategy:
+    """Hook defaults; each strategy overrides the hooks it changes."""
 
-    dominates = None  # distinct payloads are never comparable
+    dominates = None  # no dominance test: finished tables are not pruned
+
+    @staticmethod
+    def better(new, old):
+        return False  # the first row stored under a key wins
+
+    @staticmethod
+    def join_key(pay):
+        return pay
+
+    @staticmethod
+    def forget_filter(v, child_bag, arcs):
+        return True
+
+
+class _AlphaStrategy(_Strategy):
+    """Largest independent set in the removed graph, cooperative max."""
 
     def __init__(self, G: Graph):
         self.G = G
@@ -604,10 +617,6 @@ class _AlphaStrategy:
     @staticmethod
     def better(new, old):
         return new > old
-
-    @staticmethod
-    def join_key(pay):
-        return pay
 
     @staticmethod
     def leaf(v):
@@ -620,10 +629,6 @@ class _AlphaStrategy:
             yield S | {v}, val + 1
 
     @staticmethod
-    def forget_filter(v, child_bag, arcs):
-        return True
-
-    @staticmethod
     def forget(v, S, val):
         return S - {v}, val
 
@@ -632,22 +637,12 @@ class _AlphaStrategy:
         return Sa, va + vb - len(Sa)
 
 
-class _OmegaDecision:
+class _OmegaDecision(_Strategy):
     """Reachability: selections whose removed edges meet every target clique."""
-
-    dominates = None  # distinct payloads are never comparable
 
     def __init__(self, G: Graph, t: int):
         self.G = G
         self.t = t  # decide omega_1 <= t by hitting all (t+1)-cliques
-
-    @staticmethod
-    def better(new, old):
-        return False
-
-    @staticmethod
-    def join_key(pay):
-        return pay
 
     @staticmethod
     def leaf(v):
@@ -680,22 +675,12 @@ class _OmegaDecision:
         return pa, 0
 
 
-class _ChiDecision:
+class _ChiDecision(_Strategy):
     """Reachability over (state, bag coloring) for a fixed palette size."""
-
-    dominates = None  # distinct payloads are never comparable
 
     def __init__(self, G: Graph, k: int):
         self.G = G
         self.k = k
-
-    @staticmethod
-    def better(new, old):
-        return False
-
-    @staticmethod
-    def join_key(pay):
-        return pay
 
     def leaf(self, v):
         return [(((v, c),), 0) for c in range(self.k)]
@@ -712,10 +697,6 @@ class _ChiDecision:
                 yield tuple(sorted(cmap.items() | {(v, c)})), 0
 
     @staticmethod
-    def forget_filter(v, child_bag, arcs):
-        return True
-
-    @staticmethod
     def forget(v, pay, val):
         return tuple(p for p in pay if p[0] != v), val
 
@@ -724,16 +705,12 @@ class _ChiDecision:
         return pa, 0
 
 
-class _ThetaStrategy:
+class _ThetaStrategy(_Strategy):
     """Max over selections of the minimum clique cover; rows carry the whole
     cover-cost profile over flagged bag partitions."""
 
     def __init__(self, G: Graph):
         self.G = G
-
-    @staticmethod
-    def better(new, old):
-        return False  # profile is part of the key; first entry wins
 
     @staticmethod
     def dominates(pa, pb):
@@ -775,10 +752,6 @@ class _ThetaStrategy:
                         out[fp2] = cost
         if out:
             yield tuple(sorted(out.items())), 0
-
-    @staticmethod
-    def forget_filter(v, child_bag, arcs):
-        return True
 
     @staticmethod
     def forget(v, pay, val):
@@ -832,11 +805,12 @@ class _ThetaStrategy:
 
 
 DP_PARAMETERS = ("alpha1", "omega1", "chi1", "theta1")
+DP_WIDTH_CAP = 6  # widest decomposition the DP accepts
 
 
 def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
               k: int | None = None, caps: SolverCaps = DEFAULT_CAPS,
-              dp_width_cap: int = 6, trace_file: str | None = None) -> ParameterResult:
+              trace_file: str | None = None) -> ParameterResult:
     """Compute a robust parameter by dynamic programming over a nice tree
     decomposition.  `which` is one of alpha1 / omega1 / chi1 / theta1; for
     chi1 an explicit k runs the single decision instead of the minimizing
@@ -846,8 +820,8 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
         raise ValueError(f"unknown dp parameter {which!r}")
     if G.n == 0:
         raise ValueError("empty graph")
-    if nice.width > dp_width_cap:
-        raise CapExceeded(f"decomposition width {nice.width} exceeds dp cap {dp_width_cap}")
+    if nice.width > DP_WIDTH_CAP:
+        raise CapExceeded(f"decomposition width {nice.width} exceeds dp cap {DP_WIDTH_CAP}")
     ok, why = nice.validate(G)
     if not ok:
         raise ValueError(f"invalid nice decomposition: {why}")
@@ -960,11 +934,9 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
     return result
 
 
-def dp_all(G: Graph, which_list=DP_PARAMETERS, caps: SolverCaps = DEFAULT_CAPS,
-           dp_width_cap: int = 6):
-    """Convenience: heuristic decomposition, nice form, then every requested
+def dp_all(G: Graph):
+    """Convenience: heuristic decomposition, nice form, then every DP
     parameter; returns (nice, dict of results)."""
     T = heuristic_decomposition(G)
     nice = make_nice(T, G)
-    return nice, {w: dp_robust(G, nice, w, caps=caps, dp_width_cap=dp_width_cap)
-                  for w in which_list}
+    return nice, {w: dp_robust(G, nice, w) for w in DP_PARAMETERS}

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from robusta.cli import build_parser, main
+from robusta import generate
+from robusta.certify import validate_result
+from robusta.cli import _PARAM_ALIASES, build_parser, main
 
 
 def run_cli(args, tmp_path=None):
@@ -185,6 +187,22 @@ def test_verify_union_suite():
     assert rows["chi1(union of 3 hamiltonian cycles) <= (2k+1)*prod"]["rhs"] == 7
 
 
+def test_verify_operations_suite_guards_theta1_law_by_robust_n():
+    # corpus orders are 4 + (seed + i) % 6; the union partner adds 4 vertices,
+    # so random[0] (order 9) is within the chi_1 cap but not the theta_1 cap
+    code, report = run_cli(["verify", "--suite", "operations", "--corpus",
+                            "random:6,9,0.4", "--seed", "11", "--no-timing"])
+    assert code == 0 and report["violations"] == []
+    orders = []
+    for i, check in enumerate(report["checks"]):
+        n = 4 + (11 + i) % 6
+        orders.append(n + 4)
+        names = {r["inequality"] for r in check["rows"]}
+        assert "chi1 disjoint-union law" in names
+        assert ("theta1 disjoint-union law" in names) == (n + 4 <= 12)
+    assert max(orders) > 12 >= min(orders)
+
+
 def test_verify_corpus_requires_seed():
     code, _ = run_cli(["verify", "--suite", "sandwich",
                        "--corpus", "random:4,8,0.4", "--no-timing"])
@@ -261,13 +279,44 @@ def test_config_override_warning(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
-def test_config_unknown_cap_key_exit3(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["robust_nn", "canonical_n"])
+def test_config_unknown_cap_key_exit3(tmp_path, capsys, key):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[caps]\nrobust_nn = 5\n")
+    cfg.write_text(f"[caps]\n{key} = 5\n")
     code, report = run_cli(["compute", "--gen", "complete:4", "--param", "chi1",
                             "--config", str(cfg), "--no-timing"])
     assert code == 3 and report is None
-    assert "robust_nn" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", ["1", "2"])
+def test_engines_agree_on_every_param_token(s):
+    """Every --param token through exact, oracle and maximal gives the same
+    certified values; dp answers exactly the chi/omega/alpha/theta tokens at
+    budget 1 and agrees with them, and exits 3 on every other token."""
+    source = ["--gen", "erdos_renyi:6,0.5", "--seed", "8"]
+    G = generate("erdos_renyi", ["6", "0.5"], 8)
+    assert G.n == 6 and G.m <= 10
+    tokens = sorted(_PARAM_ALIASES)
+    values = {}
+    for engine in ("exact", "oracle", "maximal"):
+        code, report = run_cli(["compute", *source, "--param", ",".join(tokens),
+                                "--s", s, "--engine", engine, "--no-timing"])
+        assert code == 0, engine
+        for res in report["results"]:
+            validate_result(G, res)
+        values[engine] = {r["requested_as"]: r["value"] for r in report["results"]}
+    assert values["exact"] == values["oracle"] == values["maximal"]
+    for token in tokens:
+        base, forced_s = _PARAM_ALIASES[token]
+        code, report = run_cli(["compute", *source, "--param", token, "--s", s,
+                                "--engine", "dp", "--no-timing"])
+        if base in ("chi", "omega", "alpha", "theta") and (forced_s or int(s)) == 1:
+            assert code == 0, token
+            validate_result(G, report["results"][0])
+            assert report["results"][0]["value"] == values["exact"][token]
+        else:
+            assert code == 3 and report is None, token
 
 
 def test_console_entry_point():

@@ -145,6 +145,17 @@ def test_certify_rejects_corruption():
         validate_result(G, res2)
 
 
+def test_classical_certificate_must_not_remove_edges():
+    G = complete(4)
+    for which in PARAMS:
+        res = as_dict(classical_parameter(G, which))
+        assert "removed_edges" not in res["certificate"]
+        validate_result(G, res)
+        res["certificate"]["removed_edges"] = [[0, 1]]
+        with pytest.raises(CertificateError):
+            validate_result(G, res)
+
+
 def test_iota():
     assert iota(cycle(5)).value == 5
     assert iota(complete(4)).value == 3

@@ -14,7 +14,8 @@ import json
 
 import pytest
 
-from robusta import Graph, complete, erdos_renyi, robust_parameter
+from robusta import (Graph, complete, erdos_renyi, oracle_robust, robust_parameter,
+                     robust_via_maximal)
 from robusta.exact import _complement_masks, _removed_masks
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
@@ -57,9 +58,11 @@ PINNED = {
 
 def _digest(engine, which, s):
     graphs = EXACT_GRAPHS if engine == "exact" else ENUM_GRAPHS
+    solve = {"exact": robust_parameter, "oracle": oracle_robust,
+             "maximal": robust_via_maximal}[engine]
     h = hashlib.sha256()
     for n, p, seed in graphs:
-        r = robust_parameter(erdos_renyi(n, p, seed), which, s, engine=engine)
+        r = solve(erdos_renyi(n, p, seed), which, s)
         h.update(json.dumps([r.value, r.certificate, r.stats["nodes"]],
                             sort_keys=True).encode())
         h.update(b"\n")
