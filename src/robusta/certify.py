@@ -147,18 +147,44 @@ def validate_result(G: Graph, result: dict) -> None:
 
 
 def _main(argv) -> int:
-    if len(argv) != 3:
-        print("usage: python -m robusta.certify RESULT.json GRAPH.{col,edges}",
-              file=sys.stderr)
-        return 2
+    """Exit 0 when every certificate is valid, 2 on an invalid certificate,
+    3 on a usage or input error; each failure prints one `error:` line.
+    RESULT.json holds a `compute` report, a list of results or one result."""
     from .graphio import read_graph_file
+    if len(argv) != 3:
+        print("error: usage: python -m robusta.certify RESULT.json "
+              "GRAPH.{col,edges}", file=sys.stderr)
+        return 3
     fmt = "dimacs" if argv[2].endswith(".col") else "edgelist"
-    G, _ = read_graph_file(argv[2], fmt)
-    with open(argv[1], "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        G, _ = read_graph_file(argv[2], fmt)
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
+        print(f"error: cannot read graph {argv[2]}: {exc}", file=sys.stderr)
+        return 3
+    try:
+        with open(argv[1], "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # so is a JSON syntax error
+        print(f"error: cannot read results {argv[1]}: {exc}", file=sys.stderr)
+        return 3
+    if isinstance(data, dict) and "results" in data:
+        data = data["results"]
     results = data if isinstance(data, list) else [data]
-    for r in results:
-        validate_result(G, r)
+    for i, r in enumerate(results):
+        if not (isinstance(r, dict)
+                and {"parameter", "value", "certificate"} <= r.keys()):
+            print(f"error: result {i} has no parameter, value and certificate",
+                  file=sys.stderr)
+            return 3
+        try:
+            validate_result(G, r)
+        except CertificateError as exc:
+            print(f"error: result {i} ({r['parameter']}): {exc}", file=sys.stderr)
+            return 2
+        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+            print(f"error: result {i} ({r['parameter']}): malformed "
+                  f"certificate: {exc!r}", file=sys.stderr)
+            return 2
     print(f"{len(results)} certificate(s) valid")
     return 0
 

@@ -276,22 +276,17 @@ def _row(name, lhs, rhs, ok=None) -> dict:
     return {"inequality": name, "lhs": lhs, "rhs": rhs, "pass": bool(ok)}
 
 
-def _sandwich_rows(G: Graph, s_values, caps) -> list[dict]:
+def _sandwich_rows(G: Graph, s_values, value) -> list[dict]:
     rows = []
-    chi = classical_parameter(G, "chi", caps).value
-    omega = classical_parameter(G, "omega", caps).value
-    alpha = classical_parameter(G, "alpha", caps).value
-    theta = classical_parameter(G, "theta", caps).value
-    arb = classical_parameter(G, "arboricity", caps).value
-    d = classical_parameter(G, "degeneracy", caps).value
+    chi = value(G, "chi", 0)
+    omega = value(G, "omega", 0)
+    theta = value(G, "theta", 0)
+    arb = value(G, "arboricity", 0)
+    d = value(G, "degeneracy", 0)
     delta = G.max_degree()
-    vals = {}
     for s in s_values:
-        for base in ("chi", "omega", "alpha", "theta"):
-            vals[(base, s)] = robust_parameter(G, base, s, caps=caps).value
-    for s in s_values:
-        chs, oms = vals[("chi", s)], vals[("omega", s)]
-        als, ths = vals[("alpha", s)], vals[("theta", s)]
+        chs, oms = value(G, "chi", s), value(G, "omega", s)
+        als, ths = value(G, "alpha", s), value(G, "theta", s)
         rows.append(_row(f"chi_{s} >= omega_{s}", oms, chs))
         if als:
             rows.append(_row(f"chi_{s} >= n/alpha_{s}", -(-G.n // als), chs))
@@ -299,9 +294,9 @@ def _sandwich_rows(G: Graph, s_values, caps) -> list[dict]:
         if oms:
             rows.append(_row(f"theta_{s} >= n/omega_{s}", -(-G.n // oms), ths))
     if 1 in s_values:
-        chi1 = vals[("chi", 1)]
-        omega1 = vals[("omega", 1)]
-        theta1 = vals[("theta", 1)]
+        chi1 = value(G, "chi", 1)
+        omega1 = value(G, "omega", 1)
+        theta1 = value(G, "theta", 1)
         rows.append(_row("ceil(chi/3) <= chi1", -(-chi // 3), chi1))
         rows.append(_row("chi1 <= chi", chi1, chi))
         rows.append(_row("ceil(omega/3) <= omega1", -(-omega // 3), omega1))
@@ -317,59 +312,52 @@ def _sandwich_rows(G: Graph, s_values, caps) -> list[dict]:
     return rows
 
 
-def _operations_rows(G: Graph, seed: int, caps) -> list[dict]:
+def _operations_rows(G: Graph, seed: int, value, caps) -> list[dict]:
     import random as _random
     rows = []
     rng = _random.Random(seed)
-    chi1 = robust_chromatic(G, 1, caps).value
+    chi1 = value(G, "chi", 1)
     # monotonicity under edge deletion
     if G.m:
         edges = G.sorted_edges()
         e = edges[rng.getrandbits(16) % len(edges)]
         H = Graph(G.n, G.edges - {e})
-        rows.append(_row("chi1(G-e) <= chi1(G)", robust_chromatic(H, 1, caps).value, chi1))
+        rows.append(_row("chi1(G-e) <= chi1(G)", value(H, "chi", 1), chi1))
         rows.append(_row("omega1(G-e) <= omega1(G)",
-                         robust_parameter(H, "omega", 1, caps=caps).value,
-                         robust_parameter(G, "omega", 1, caps=caps).value))
+                         value(H, "omega", 1), value(G, "omega", 1)))
         rows.append(_row("alpha1(G) <= alpha1(G-e)",
-                         robust_parameter(G, "alpha", 1, caps=caps).value,
-                         robust_parameter(H, "alpha", 1, caps=caps).value))
+                         value(G, "alpha", 1), value(H, "alpha", 1)))
         rows.append(_row("theta1(G) <= theta1(G-e)",
-                         robust_parameter(G, "theta", 1, caps=caps).value,
-                         robust_parameter(H, "theta", 1, caps=caps).value))
+                         value(G, "theta", 1), value(H, "theta", 1)))
     # vertex-disjoint union laws against a small partner; chi_1 is capped
     # at robust_chi_n, theta_1 at robust_n
     H = erdos_renyi(4, 0.5, seed + 101)
     D = disjoint_union([G, H])
     if D.n <= caps.robust_chi_n:
-        lhs = robust_chromatic(D, 1, caps).value
-        rhs = max(chi1, robust_chromatic(H, 1, caps).value)
+        lhs = value(D, "chi", 1)
+        rhs = max(chi1, value(H, "chi", 1))
         rows.append(_row("chi1 disjoint-union law", lhs, rhs, ok=lhs == rhs))
     if D.n <= caps.robust_n:
-        ta = robust_parameter(G, "theta", 1, caps=caps).value
-        tb = robust_parameter(H, "theta", 1, caps=caps).value
-        td = robust_parameter(D, "theta", 1, caps=caps).value
+        ta, tb = value(G, "theta", 1), value(H, "theta", 1)
+        td = value(D, "theta", 1)
         rows.append(_row("theta1 disjoint-union law", td, ta + tb, ok=td == ta + tb))
     # same-vertex-set union bound
     H2 = erdos_renyi(G.n, 0.3, seed + 77)
     U = union_graphs([G, H2])
     if U.n <= caps.robust_chi_n:
-        chiH2 = classical_parameter(H2, "chi", caps).value
-        chi1H2 = robust_chromatic(H2, 1, caps).value
-        chiG = classical_parameter(G, "chi", caps).value
-        bound = min(chiG * chi1H2, chi1 * chiH2)
+        bound = min(value(G, "chi", 0) * value(H2, "chi", 1),
+                    chi1 * value(H2, "chi", 0))
         rows.append(_row("chi1(G u H) <= min(chi*chi1)",
-                         robust_chromatic(U, 1, caps).value, bound))
+                         value(U, "chi", 1), bound))
     return rows
 
 
-def _union_rows(k: int, caps) -> list[dict]:
+def _union_rows(k: int, value) -> list[dict]:
     cycles = walecki_cycles(k)
-    union = union_graphs(cycles)
-    chi1_union = robust_chromatic(union, 1, caps).value
+    chi1_union = value(union_graphs(cycles), "chi", 1)
     prod = 1
     for c in cycles:
-        prod *= robust_chromatic(c, 1, caps).value
+        prod *= value(c, "chi", 1)
     expected = -(-(2 * k + 1) // 3)
     return [
         _row(f"chi1(union of {k} hamiltonian cycles) <= (2k+1)*prod",
@@ -380,7 +368,7 @@ def _union_rows(k: int, caps) -> list[dict]:
     ]
 
 
-def _degree_rows(G: Graph, caps) -> list[dict]:
+def _degree_rows(G: Graph, value, caps) -> list[dict]:
     delta = G.max_degree()
     k = max(1, -(-(delta + 1) // 3))
     rc, moves = max_degree_partition(G, k)
@@ -392,12 +380,11 @@ def _degree_rows(G: Graph, caps) -> list[dict]:
     rows = [_row("local search moves <= |E|", moves, G.m),
             _row("classes induce max degree <= 2", int(not ok), 0, ok=ok)]
     if G.n <= caps.robust_chi_n:
-        rows.append(_row("chi1 <= ceil((Delta+1)/3)",
-                         robust_chromatic(G, 1, caps).value, k))
+        rows.append(_row("chi1 <= ceil((Delta+1)/3)", value(G, "chi", 1), k))
     return rows
 
 
-def _degeneracy_rows(G: Graph, caps) -> list[dict]:
+def _degeneracy_rows(G: Graph, value, caps) -> list[dict]:
     rc = degeneracy_greedy(G)
     d, _ = degeneracy_order(G)
     try:
@@ -408,17 +395,16 @@ def _degeneracy_rows(G: Graph, caps) -> list[dict]:
     rows = [_row("greedy coloring proper on removed graph", int(not valid), 0, ok=valid),
             _row("greedy k <= floor(d/2)+1", rc.k, d // 2 + 1)]
     if G.n <= caps.robust_chi_n:
-        rows.append(_row("chi1 <= floor(d/2)+1",
-                         robust_chromatic(G, 1, caps).value, d // 2 + 1))
+        rows.append(_row("chi1 <= floor(d/2)+1", value(G, "chi", 1), d // 2 + 1))
     return rows
 
 
-def _edge_index_rows(G: Graph, caps) -> list[dict]:
+def _edge_index_rows(G: Graph, value) -> list[dict]:
     rows = []
     delta, small_delta = G.max_degree(), G.min_degree()
-    chi_prime1 = robust_parameter(G, "chi_prime", 1, caps=caps).value
+    chi_prime1 = value(G, "chi_prime", 1)
     if delta > 1:
-        chi_prime = classical_parameter(G, "chi_prime", caps).value
+        chi_prime = value(G, "chi_prime", 0)
         rows.append(_row("chi_prime1 <= chi_prime - 2", chi_prime1, chi_prime - 2))
         rows.append(_row("chi_prime1 <= Delta - 1", chi_prime1, delta - 1))
     rows.append(_row("delta - 2 <= chi_prime1", small_delta - 2, chi_prime1))
@@ -455,24 +441,32 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in _SUITES:
         raise CliError(f"unknown suite {suite!r}; choose from {', '.join(_SUITES)}")
+
+    @functools.cache
+    def value(G: Graph, which: str, s: int):
+        """The value of one (graph, parameter, budget), solved once per run."""
+        if s == 0:
+            return classical_parameter(G, which, caps).value
+        return robust_parameter(G, which, s, caps=caps).value
+
     checks = []
     if suite == "union":
         for k in (2, 3, 4):
-            checks.append({"graph": f"walecki:{k}", "rows": _union_rows(k, caps)})
+            checks.append({"graph": f"walecki:{k}", "rows": _union_rows(k, value)})
     else:
         for label, G in _corpus_graphs(args):
             if suite == "sandwich":
-                rows = _sandwich_rows(G, [int(x) for x in args.s_list.split(",")], caps)
+                rows = _sandwich_rows(G, [int(x) for x in args.s_list.split(",")], value)
             elif suite == "operations":
-                rows = _operations_rows(G, args.seed or 0, caps)
+                rows = _operations_rows(G, args.seed or 0, value, caps)
             elif suite == "degree":
-                rows = _degree_rows(G, caps)
+                rows = _degree_rows(G, value, caps)
             elif suite == "degeneracy":
-                rows = _degeneracy_rows(G, caps)
+                rows = _degeneracy_rows(G, value, caps)
             else:
                 if G.max_degree() <= 1:
                     continue
-                rows = _edge_index_rows(G, caps)
+                rows = _edge_index_rows(G, value)
             checks.append({"graph": label, "rows": rows})
     if args.inject_fault and checks and checks[0]["rows"]:
         checks[0]["rows"][0]["pass"] = False

@@ -14,7 +14,6 @@ cleared (the explorer tracks this; standalone calls leave it advisory).
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -162,39 +161,36 @@ class ExplorationReport:
 
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:
-    """All graphs on n vertices up to isomorphism.
+    """All graphs on n vertices up to isomorphism, sorted by canonical form.
 
-    Labeled enumeration as edge bitmasks, a vectorized transposition filter
-    (codes not minimal under some transposition cannot be canonical), then
-    exact canonical-form deduplication of the survivors.
+    Built order by order by vertex augmentation (McKay, Isomorph-free
+    exhaustive generation, J. Algorithms 1998): each class on k vertices is
+    a representative H on k - 1 vertices plus a new vertex whose neighbour
+    set N leaves it of minimum degree, |N| <= deg(u) for every old vertex u;
+    one graph is kept per canonical form.
+
+    Complete: let v be a minimum-degree vertex of a graph G on k vertices.
+    G - v is isomorphic to some representative H; carry N(v) over to H by
+    that isomorphism.  Every old vertex then has its degree in G, which is
+    at least |N(v)|, so the candidate is generated and it is isomorphic to G.
     """
-    import numpy as np
-
-    pairs = list(itertools.combinations(range(n), 2))
-    m = len(pairs)
-    if m == 0:
-        return [Graph(n)]
-    idx = {p: i for i, p in enumerate(pairs)}
-    codes = np.arange(1 << m, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(m)) & 1).astype(np.int8)
-    minimum = codes.copy()
-    for a, b in itertools.combinations(range(n), 2):
-        sigma = list(range(n))
-        sigma[a], sigma[b] = b, a
-        weights = np.zeros(m, dtype=np.int64)
-        for i, (u, v) in enumerate(pairs):
-            x, y = sigma[u], sigma[v]
-            weights[i] = 1 << idx[(x, y) if x < y else (y, x)]
-        permuted = bits @ weights
-        np.minimum(minimum, permuted, out=minimum)
-    survivors = codes[codes == minimum]
-    reps: dict[str, Graph] = {}
-    for code in survivors.tolist():
-        edges = [pairs[i] for i in range(m) if (code >> i) & 1]
-        g = Graph(n, edges)
-        key = canonical_form(g)
-        reps.setdefault(key, g)
-    return [reps[k] for k in sorted(reps)]
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    classes = [Graph(0)]
+    for k in range(1, n + 1):
+        new = k - 1
+        reps: dict[str, Graph] = {}
+        for H in classes:
+            degrees = [H.degree(u) for u in range(new)]
+            for nbrs in range(1 << new):
+                d = nbrs.bit_count()
+                if any(degrees[u] + (nbrs >> u & 1) < d for u in range(new)):
+                    continue
+                g = Graph(k, [*H.edges, *((u, new) for u in range(new)
+                                          if nbrs >> u & 1)])
+                reps.setdefault(canonical_form(g), g)
+        classes = [reps[key] for key in sorted(reps)]
+    return classes
 
 
 def explore_exact_conjecture(n_max: int, use_filters: bool = True,

@@ -203,6 +203,35 @@ def test_verify_operations_suite_guards_theta1_law_by_robust_n():
     assert max(orders) > 12 >= min(orders)
 
 
+def test_verify_solves_each_instance_once(monkeypatch):
+    """Every verify suite goes through one cached lookup per run: no (graph,
+    parameter, budget) reaches the exact tier twice."""
+    from robusta import cli
+    seen = []
+    solve = cli.robust_parameter
+
+    def counting(G, which, s, *args, **kw):
+        seen.append((G, which, s))
+        return solve(G, which, s, *args, **kw)
+
+    def bypass(*args, **kw):
+        raise AssertionError("robust_chromatic called around the verify cache")
+
+    monkeypatch.setattr(cli, "robust_parameter", counting)
+    monkeypatch.setattr(cli, "robust_chromatic", bypass)
+    for args in (["--suite", "operations", "--corpus", "random:6,9,0.4", "--seed", "11"],
+                 ["--suite", "sandwich", "--corpus", "random:6,8,0.4", "--seed", "3",
+                  "--s-list", "0,1,2"],
+                 ["--suite", "degree", "--gen", "complete:7"],
+                 ["--suite", "degeneracy", "--gen", "complete:6"],
+                 ["--suite", "edge-index", "--gen", "cycle:6"],
+                 ["--suite", "union"]):
+        seen.clear()
+        code, report = run_cli(["verify", *args, "--no-timing"])
+        assert code == 0 and report["violations"] == [], args
+        assert seen and len(seen) == len(set(seen)), args
+
+
 def test_verify_corpus_requires_seed():
     code, _ = run_cli(["verify", "--suite", "sandwich",
                        "--corpus", "random:4,8,0.4", "--no-timing"])
@@ -235,6 +264,30 @@ def test_explore_and_cap():
     assert report["orders"]["4"]["classes"] == 11
     code, _ = run_cli(["explore", "--n-max", "9", "--no-timing"])
     assert code == 3
+
+
+def test_explore_orders_pinned():
+    # recorded with the labeled-sweep generator the augmentation replaced
+    code, report = run_cli(["explore", "--n-max", "6", "--no-timing"])
+    assert code == 0 and report["counterexamples"] == []
+    base = {"counterexamples": 0, "theta1_computed": 0}
+    assert report["orders"] == {
+        "1": {**base, "labeled": 1, "classes": 1, "non_edgeless": 0,
+              "confirmed": 0, "filtered_out": {}},
+        "2": {**base, "labeled": 2, "classes": 2, "non_edgeless": 1,
+              "confirmed": 1, "filtered_out": {"theta_gt_alpha": 1}},
+        "3": {**base, "labeled": 8, "classes": 4, "non_edgeless": 3,
+              "confirmed": 3, "filtered_out": {"theta_gt_alpha": 3}},
+        "4": {**base, "labeled": 64, "classes": 11, "non_edgeless": 10,
+              "confirmed": 10, "filtered_out": {"theta_gt_alpha": 10}},
+        "5": {**base, "labeled": 1024, "classes": 34, "non_edgeless": 33,
+              "confirmed": 33,
+              "filtered_out": {"theta_ge_4": 1, "theta_gt_alpha": 32}},
+        "6": {**base, "labeled": 32768, "classes": 156, "non_edgeless": 155,
+              "confirmed": 155,
+              "filtered_out": {"theta_ge_4": 3, "theta_gt_alpha": 151,
+                               "two_triangles": 1}},
+    }
 
 
 def test_random_experiment():
@@ -343,3 +396,38 @@ def test_certify_module_entry(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("compute-report", 0), ("changed-value", 2), ("missing-file", 3),
+    ("one-argument", 3), ("poly-bounds-report", 3),
+])
+def test_certify_module_exit_codes(tmp_path, case, expected):
+    """The certify entry point reads `compute --out` reports and maps each
+    failure to one `error:` line: 2 for an invalid certificate, 3 for usage
+    and input errors."""
+    from robusta import complete
+    from robusta.graphio import write_dimacs
+    graph_file = tmp_path / "g.col"
+    graph_file.write_text(write_dimacs(complete(5)))
+    report_file = tmp_path / "report.json"
+    engine, params = (("poly-bounds", "chi1,chi1prime") if case == "poly-bounds-report"
+                      else ("exact", "theta1,chi1"))
+    code, _ = run_cli(["compute", "--input", str(graph_file), "--param", params,
+                       "--engine", engine, "--out", str(report_file)])
+    assert code == 0
+    if case == "changed-value":
+        data = json.loads(report_file.read_text())
+        data["results"][0]["value"] += 1
+        report_file.write_text(json.dumps(data))
+    argv = {"missing-file": [str(report_file), str(tmp_path / "missing.col")],
+            "one-argument": [str(report_file)]}.get(
+                case, [str(report_file), str(graph_file)])
+    proc = subprocess.run([sys.executable, "-m", "robusta.certify", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == expected, proc.stderr
+    if expected:
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    else:
+        assert proc.stdout == "2 certificate(s) valid\n" and proc.stderr == ""

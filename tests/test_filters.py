@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from robusta import (CapExceeded, complete, cycle, exactness_filters,
                      explore_exact_conjecture, nonisomorphic_graphs, path)
+from robusta import Graph, canonical_form
 from robusta.filters import FILTER_ORDER
 
 
@@ -58,7 +61,21 @@ def test_conclusion_rule():
 
 def test_nonisomorphic_counts():
     # the classical counts of graphs up to isomorphism
-    assert [len(nonisomorphic_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    assert [len(nonisomorphic_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_nonisomorphic_graphs_match_labeled_sweep(n):
+    # reference: the canonical forms of all 2^C(n,2) labeled graphs
+    pairs = list(itertools.combinations(range(n), 2))
+    labeled = {canonical_form(Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1]))
+               for code in range(1 << len(pairs))}
+    assert [canonical_form(g) for g in nonisomorphic_graphs(n)] == sorted(labeled)
+
+
+def test_nonisomorphic_graphs_rejects_negative_order():
+    with pytest.raises(ValueError):
+        nonisomorphic_graphs(-1)
 
 
 def test_explorer_small():

@@ -24,6 +24,25 @@ def test_src_has_no_assert_statements():
     assert found == [], f"assert statements in src/robusta: {', '.join(found)}"
 
 
+def test_src_imports_only_stdlib():
+    """The package has no runtime dependency: every absolute import names a
+    standard-library module or robusta itself."""
+    allowed = set(sys.stdlib_module_names) | {"robusta"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert found == [], f"non-stdlib imports in src/robusta: {', '.join(found)}"
+
+
 @pytest.mark.parametrize("args", [
     ["--gen", "erdos_renyi:8,0.5", "--seed", "3",
      "--param", "chi,omega,alpha,theta,chiprime", "--s", "1"],
