@@ -178,7 +178,7 @@ def _compute_one(G: Graph, base: str, s: int, engine: str, caps: SolverCaps):
         if s != 1 or base not in ("chi", "omega", "alpha", "theta"):
             raise CliError("engine dp supports chi1, omega1, alpha1, theta1 only")
         nice = make_nice(heuristic_decomposition(G), G)
-        return dp_robust(G, nice, base + "1", caps=caps)
+        return dp_robust(G, nice, base + "1")
     if base == "iota":
         return iota(G, caps)
     if s == 0:
@@ -534,10 +534,7 @@ def cmd_explore(args) -> int:
 
     rep = explore_exact_conjecture(args.n_max, not args.no_filters, caps,
                                    progress=progress)
-    body = rep.to_dict()
-    if args.no_timing:
-        body["elapsed_ms"] = 0.0
-    report = {"command": "explore", **body}
+    report = {"command": "explore", **rep.to_dict()}
     _emit(report, args, t0)
     return EXIT_OK
 

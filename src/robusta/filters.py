@@ -176,7 +176,15 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+    *_, classes = _orders(n)
+    return classes
+
+
+def _orders(n: int):
+    """Yield the class lists of the orders 0..n, each built from the one
+    before as `nonisomorphic_graphs` describes."""
     classes = [Graph(0)]
+    yield classes
     for k in range(1, n + 1):
         new = k - 1
         reps: dict[str, Graph] = {}
@@ -190,7 +198,7 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
                                           if nbrs >> u & 1)])
                 reps.setdefault(canonical_form(g), g)
         classes = [reps[key] for key in sorted(reps)]
-    return classes
+        yield classes
 
 
 def explore_exact_conjecture(n_max: int, use_filters: bool = True,
@@ -205,8 +213,9 @@ def explore_exact_conjecture(n_max: int, use_filters: bool = True,
     orders: dict[int, dict] = {}
     counterexamples: list[dict] = []
     clean_below = True
-    for n in range(1, n_max + 1):
-        graphs = nonisomorphic_graphs(n)
+    for n, graphs in enumerate(_orders(n_max)):
+        if n == 0:
+            continue
         stats = {
             "labeled": 1 << (n * (n - 1) // 2),
             "classes": len(graphs),

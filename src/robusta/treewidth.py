@@ -10,16 +10,28 @@ which enumerates each selection exactly once.  At join nodes both children
 must agree on the stored arcs, and a vertex may carry a forgotten-edge
 selection from at most one side (it selects only once).
 
-Parameter strategies:
+Every parameter is one optimization pass: a row is (arcs, pset, payload)
+-> value, the table keeps the better value per row, and the answer is the
+best root row.  Parameter strategies:
 
-* alpha_1 maximizes jointly over selection and independent set, so a plain
-  value table over (state, set-trace) suffices.
-* omega_1 <= t is decided by hunting a selection whose removed edges meet
-  every (t+1)-clique; a clique is checked at the forget of its first
-  forgotten vertex, where it still sits inside the child bag.
-* chi_1 <= k is decided over (state, bag coloring): properness on the
-  removed graph is a purely local edge condition, checked as endpoints
-  are introduced.
+* alpha_1 maximizes jointly over selection and independent set; the
+  payload is the set's trace on the bag.
+* omega_1 is a min over selections of the largest surviving clique.  The
+  value is the largest clique of G - F met so far: a clique is met at an
+  introduce of one of its vertices with the rest of it in the child bag
+  (the lowest node whose bag holds the whole clique is such an introduce,
+  or a leaf for a single vertex), where all its edges are already decided.
+  Join takes the max of the two sides.
+* chi_1 is a min over selections and colorings.  The payload is the bag's
+  partition into color classes, the value the most classes any bag has
+  held; a vertex joins a class only if it has no surviving edge into it.
+  No row holds more than width // 2 + 1 classes: chi_1 <= floor(d/2) + 1
+  by the degeneracy greedy and d <= width, so an optimal coloring never
+  needs more.  The coloring is rebuilt top-down from each vertex's
+  partition at its forget: a vertex takes a class-mate's color, else the
+  lowest color no other class of that bag holds.  Every vertex that shares
+  a bag with it and is forgotten higher up sits in that bag, so classes and
+  colors stay one-to-one in every bag and at most `value` colors are used.
 * theta_1 is a max over selections of a minimum cover, so rows carry the
   whole cost profile over flagged bag partitions (flag = class already
   touches a forgotten vertex).  Every finished table is pruned by
@@ -32,7 +44,8 @@ Parameter strategies:
   than the kept one, and the final max is unchanged.
 
 The engine appends synthetic forget nodes above the root until the bag is
-empty, so extraction reads a table over the trivial state.
+empty, so extraction reads a table over the trivial state, and every
+vertex has exactly one forget node.
 """
 
 from __future__ import annotations
@@ -43,8 +56,10 @@ from dataclasses import dataclass
 
 from .graph import Graph
 from .graphio import HEADER_COUNT_CAP, ParseError
-from .exact import (DEFAULT_CAPS, CapExceeded, ParameterResult, SolverCaps,
-                    _max_clique, _removed_masks, classical_parameter)
+# classical_parameter is not called here; it stays bound because
+# perfbench/tracing.py wraps treewidth.classical_parameter by name.
+from .exact import (CapExceeded, ParameterResult, _classical_kernel,
+                    _removed_masks, classical_parameter)
 from .selection import Edge
 
 
@@ -438,13 +453,14 @@ class _DpStats:
 
 
 def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
-    """Bottom-up table pass; returns (final table, tables, prov, nodes list).
+    """Bottom-up table pass; returns (final table, prov, nodes, top, stats).
 
-    Table rows are (arcs, pset, payload) -> value; `prov` mirrors the tables
-    with provenance tuples for certificate reconstruction.  A strategy with a
-    `dominates` test has each finished table pruned before it is stored and
-    counted, so kept rows only point at kept child rows.  `trace`, when a
-    list, collects one record per node: rows kept and rows pruned.
+    Table rows are (arcs, pset, payload) -> value, and a row keeps the value
+    the strategy finds better; `prov` mirrors the tables with provenance
+    tuples for certificate reconstruction.  A strategy with a `dominates`
+    test has each finished table pruned before it is stored and counted, so
+    kept rows only point at kept child rows.  `trace`, when a list, collects
+    one record per node: rows kept and rows pruned.
     """
     nodes = list(nice.nodes)
     cur = nice.root
@@ -492,15 +508,9 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
         elif nd.kind == "forget":
             (c,) = nd.children
             v = nd.vertex
-            child_bag = nodes[c].bag
             for (arcs, pset, pay), val in tables[c].items():
-                if not strategy.forget_filter(v, child_bag, arcs):
-                    continue
                 arcs2, pset2 = _sigma_forget(arcs, pset, v)
-                res = strategy.forget(v, pay, val)
-                if res is None:
-                    continue
-                pay2, val2 = res
+                pay2, val2 = strategy.forget(v, pay, val)
                 put((arcs2, pset2, pay2), val2, ("forget", (arcs, pset, pay), c))
             tables[c] = None
         else:  # join
@@ -560,63 +570,73 @@ def _dominated_rows(tbl, dominates) -> list:
     return dropped
 
 
-def _collect_certificate(prov, nodes, top, key, collect):
-    """Walk provenance from (top, key); calls collect(kind, v, parent_key)
-    at leaves and introduces, and gathers all chosen arcs."""
+def _walk_provenance(prov, nodes, top, key):
+    """Walk provenance down from (top, key); returns the chosen removed edges
+    and, for every vertex, the payload of the row it was forgotten from.
+    The walk is top-down, and `forgotten` lists the vertices in walk order,
+    so a vertex comes after every vertex forgotten above it."""
     removed: set[Edge] = set()
+    forgotten: dict[int, object] = {}
     stack = [(top, key)]
     while stack:
         nd, k = stack.pop()
         entry = prov[nd][k]
         kind = entry[0]
-        if kind == "leaf":
-            collect("leaf", nodes[nd].vertex or next(iter(nodes[nd].bag)), k)
-        elif kind == "intro":
+        if kind == "intro":
             child_key, (v_arc, T), v, c = entry[1], entry[2], entry[3], entry[4]
             if v_arc is not None:
                 removed.add(_norm(v, v_arc))
             for u in T:
                 removed.add(_norm(u, v))
-            collect("intro", v, k)
             stack.append((c, child_key))
         elif kind == "forget":
+            forgotten[nodes[nd].vertex] = entry[1][2]
             stack.append((entry[2], entry[1]))
-        else:  # join
+        elif kind == "join":
             stack.append((entry[3], entry[1]))
             stack.append((entry[4], entry[2]))
-    return removed
+    return removed, forgotten
+
+
+def _kernel_certificate(G: Graph, removed, which: str, value: int) -> dict:
+    """The classical kernel's certificate for G - removed, checked against
+    the DP value."""
+    got, cert, _ = _classical_kernel(G.n, _removed_masks(G, removed), which)
+    if got != value:
+        raise AssertionError(f"{which}1 dp value {value} disagrees with the "
+                             f"{which} number {got} of its removed graph")
+    return cert
 
 
 # -- strategies --------------------------------------------------------------
 
 
 class _Strategy:
-    """Hook defaults; each strategy overrides the hooks it changes."""
+    """Hook defaults for a maximizing strategy; each strategy overrides the
+    hooks it changes.  `value(key, val)` reads the answer off a root row,
+    and `certificate(removed, forgotten, value)` builds the certificate
+    entries beyond the removed edges."""
 
     dominates = None  # no dominance test: finished tables are not pruned
 
+    def __init__(self, G: Graph, width: int):
+        self.G = G
+
     @staticmethod
     def better(new, old):
-        return False  # the first row stored under a key wins
+        return new > old
 
     @staticmethod
     def join_key(pay):
         return pay
 
     @staticmethod
-    def forget_filter(v, child_bag, arcs):
-        return True
+    def value(key, val):
+        return val
 
 
 class _AlphaStrategy(_Strategy):
     """Largest independent set in the removed graph, cooperative max."""
-
-    def __init__(self, G: Graph):
-        self.G = G
-
-    @staticmethod
-    def better(new, old):
-        return new > old
 
     @staticmethod
     def leaf(v):
@@ -636,35 +656,30 @@ class _AlphaStrategy(_Strategy):
     def join(Sa, va, Sb, vb):
         return Sa, va + vb - len(Sa)
 
+    @staticmethod
+    def certificate(removed, forgotten, value):
+        return {"independent_set": sorted(v for v, S in forgotten.items() if v in S)}
 
-class _OmegaDecision(_Strategy):
-    """Reachability: selections whose removed edges meet every target clique."""
 
-    def __init__(self, G: Graph, t: int):
-        self.G = G
-        self.t = t  # decide omega_1 <= t by hitting all (t+1)-cliques
+class _OmegaStrategy(_Strategy):
+    """Min over selections of the largest clique of the removed graph."""
+
+    @staticmethod
+    def better(new, old):
+        return new < old
 
     @staticmethod
     def leaf(v):
-        return [((), 0)]
+        return [((), 1)]
 
-    @staticmethod
-    def introduce(v, bag_nbrs, removed, pay, val):
-        yield (), 0
-
-    def forget_filter(self, v, child_bag, arcs):
-        size = self.t + 1
-        if len(child_bag) < size:
-            return True
-        removed = _removed(arcs)
-        others = sorted(child_bag - {v})
-        for rest in itertools.combinations(others, size - 1):
-            Q = (v,) + rest
-            if all(self.G.has_edge(a, b) for a, b in itertools.combinations(Q, 2)):
-                if not any(_norm(a, b) in removed
-                           for a, b in itertools.combinations(Q, 2)):
-                    return False
-        return True
+    def introduce(self, v, bag_nbrs, removed, pay, val):
+        live = [u for u in bag_nbrs if _norm(u, v) not in removed]
+        has_edge = self.G.has_edge
+        size = next(r for r in range(len(live), -1, -1)
+                    if any(all(has_edge(a, b) and _norm(a, b) not in removed
+                               for a, b in itertools.combinations(Q, 2))
+                           for Q in itertools.combinations(live, r)))
+        yield pay, max(val, size + 1)
 
     @staticmethod
     def forget(v, pay, val):
@@ -672,45 +687,62 @@ class _OmegaDecision(_Strategy):
 
     @staticmethod
     def join(pa, va, pb, vb):
-        return pa, 0
+        return pa, max(va, vb)
+
+    def certificate(self, removed, forgotten, value):
+        return _kernel_certificate(self.G, removed, "omega", value)
 
 
-class _ChiDecision(_Strategy):
-    """Reachability over (state, bag coloring) for a fixed palette size."""
+class _ChiStrategy(_Strategy):
+    """Min over selections and colorings of the most color classes any bag
+    holds; the payload is the bag's partition into classes."""
 
-    def __init__(self, G: Graph, k: int):
-        self.G = G
-        self.k = k
-
-    def leaf(self, v):
-        return [(((v, c),), 0) for c in range(self.k)]
-
-    def introduce(self, v, bag_nbrs, removed, pay, val):
-        cmap = dict(pay)
-        for c in range(self.k):
-            ok = True
-            for u in bag_nbrs:
-                if cmap.get(u) == c and _norm(u, v) not in removed:
-                    ok = False
-                    break
-            if ok:
-                yield tuple(sorted(cmap.items() | {(v, c)})), 0
+    def __init__(self, G: Graph, width: int):
+        super().__init__(G, width)
+        self.cap = width // 2 + 1  # chi_1 <= floor(d/2) + 1 and d <= width
 
     @staticmethod
-    def forget(v, pay, val):
-        return tuple(p for p in pay if p[0] != v), val
+    def better(new, old):
+        return new < old
+
+    @staticmethod
+    def leaf(v):
+        return [(((v,),), 1)]
+
+    def introduce(self, v, bag_nbrs, removed, classes, val):
+        live = {u for u in bag_nbrs if _norm(u, v) not in removed}
+        if len(classes) < self.cap:
+            yield tuple(sorted(classes + ((v,),))), max(val, len(classes) + 1)
+        for i, cls in enumerate(classes):
+            if live.isdisjoint(cls):
+                grown = tuple(sorted(cls + (v,)))
+                yield tuple(sorted(classes[:i] + (grown,) + classes[i + 1:])), val
+
+    @staticmethod
+    def forget(v, classes, val):
+        rest = (tuple(u for u in cls if u != v) for cls in classes)
+        return tuple(sorted(cls for cls in rest if cls)), val
 
     @staticmethod
     def join(pa, va, pb, vb):
-        return pa, 0
+        return pa, max(va, vb)
+
+    def certificate(self, removed, forgotten, value):
+        color: dict[int, int] = {}
+        for v, classes in forgotten.items():
+            own = next(cls for cls in classes if v in cls)
+            mate = next((u for u in own if u != v), None)
+            if mate is not None:
+                color[v] = color[mate]
+            else:
+                held = {color[u] for cls in classes if cls is not own for u in cls}
+                color[v] = min(set(range(len(classes))) - held)
+        return {"coloring": [color[v] for v in range(self.G.n)]}
 
 
 class _ThetaStrategy(_Strategy):
     """Max over selections of the minimum clique cover; rows carry the whole
     cover-cost profile over flagged bag partitions."""
-
-    def __init__(self, G: Graph):
-        self.G = G
 
     @staticmethod
     def dominates(pa, pb):
@@ -726,6 +758,14 @@ class _ThetaStrategy(_Strategy):
     @staticmethod
     def join_key(pay):
         return None  # profiles pair up inside join()
+
+    @staticmethod
+    def value(key, val):
+        profile = key[2]
+        if len(profile) != 1 or profile[0][0] != ():
+            raise AssertionError(
+                f"theta1 root row must hold one cost for the empty bag, got {profile!r}")
+        return profile[0][1]
 
     @staticmethod
     def leaf(v):
@@ -798,24 +838,27 @@ class _ThetaStrategy(_Strategy):
             return None
         return tuple(sorted(out.items())), 0
 
+    def certificate(self, removed, forgotten, value):
+        return _kernel_certificate(self.G, removed, "theta", value)
+
 
 # ---------------------------------------------------------------------------
 # public front end
 # ---------------------------------------------------------------------------
 
 
-DP_PARAMETERS = ("alpha1", "omega1", "chi1", "theta1")
+_STRATEGIES = {"alpha1": _AlphaStrategy, "omega1": _OmegaStrategy,
+               "chi1": _ChiStrategy, "theta1": _ThetaStrategy}
+DP_PARAMETERS = tuple(_STRATEGIES)
 DP_WIDTH_CAP = 6  # widest decomposition the DP accepts
 
 
 def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
-              k: int | None = None, caps: SolverCaps = DEFAULT_CAPS,
               trace_file: str | None = None) -> ParameterResult:
-    """Compute a robust parameter by dynamic programming over a nice tree
-    decomposition.  `which` is one of alpha1 / omega1 / chi1 / theta1; for
-    chi1 an explicit k runs the single decision instead of the minimizing
-    loop.  `trace_file` dumps per-node table sizes (rows kept, rows pruned)
-    as JSON for debugging."""
+    """Compute a robust parameter by one dynamic-programming pass over a
+    nice tree decomposition.  `which` is one of alpha1 / omega1 / chi1 /
+    theta1.  `trace_file` dumps per-node table sizes (rows kept, rows
+    pruned) as JSON for debugging."""
     if which not in DP_PARAMETERS:
         raise ValueError(f"unknown dp parameter {which!r}")
     if G.n == 0:
@@ -826,103 +869,18 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
     if not ok:
         raise ValueError(f"invalid nice decomposition: {why}")
     t0 = time.perf_counter()
-    width = nice.width
     trace: list | None = [] if trace_file else None
-
-    if which == "alpha1":
-        strategy = _AlphaStrategy(G)
-        final, prov, nodes, top, stats = _run_dp(G, nice, strategy, trace)
-        key, value = max(final.items(), key=lambda kv: kv[1])
-        S: set[int] = set()
-
-        def collect(kind, v, row_key):
-            if kind == "leaf" and v in row_key[2]:
-                S.add(v)
-            elif kind == "intro" and v in row_key[2]:
-                S.add(v)
-
-        removed = _collect_certificate(prov, nodes, top, key, collect)
-        cert = {"removed_edges": [list(e) for e in sorted(removed)],
-                "independent_set": sorted(S)}
-        result = ParameterResult("alpha", 1, value, cert)
-
-    elif which == "omega1":
-        value = None
-        for t in range(1, width + 3):
-            strategy = _OmegaDecision(G, t)
-            final, prov, nodes, top, stats = _run_dp(G, nice, strategy, trace)
-            if final:
-                key = next(iter(final))
-                removed = _collect_certificate(prov, nodes, top, key,
-                                               lambda *a: None)
-                # t is minimal, so the removed graph's largest clique has
-                # exactly t vertices
-                clique, _ = _max_clique(G.n, _removed_masks(G, removed))
-                if len(clique) != t:
-                    raise AssertionError(
-                        f"omega1 dp decided {t}, but the removed graph has a "
-                        f"largest clique of {len(clique)} vertices")
-                cert = {"removed_edges": [list(e) for e in sorted(removed)],
-                        "clique": clique}
-                value = t
-                break
-        if value is None:
-            raise AssertionError(f"omega1 decision must succeed by t = width + 1 = {width + 1}")
-        result = ParameterResult("omega", 1, value, cert)
-
-    elif which == "chi1":
-        ks = [k] if k is not None else list(range(1, width + 3))
-        value = None
-        for kk in ks:
-            strategy = _ChiDecision(G, kk)
-            final, prov, nodes, top, stats = _run_dp(G, nice, strategy, trace)
-            if final:
-                key = next(iter(final))
-                coloring: dict[int, int] = {}
-
-                def collect(kind, v, row_key):
-                    cmap = dict(row_key[2])
-                    if v in cmap:
-                        coloring[v] = cmap[v]
-
-                removed = _collect_certificate(prov, nodes, top, key, collect)
-                cert = {"removed_edges": [list(e) for e in sorted(removed)],
-                        "coloring": [coloring[v] for v in range(G.n)]}
-                value = kk
-                break
-        if value is None:
-            if k is not None:
-                raise ValueError(f"graph is not robust {k}-colorable")
-            raise AssertionError("decision must succeed by k = width + 1")
-        result = ParameterResult("chi", 1, value, cert)
-
-    else:  # theta1
-        strategy = _ThetaStrategy(G)
-        final, prov, nodes, top, stats = _run_dp(G, nice, strategy, trace)
-        value = -1
-        key = None
-        for rk in final:
-            profile = rk[2]
-            if len(profile) != 1 or profile[0][0] != ():
-                raise AssertionError(
-                    f"theta1 root row must hold one cost for the empty bag, got {profile!r}")
-            cost = profile[0][1]
-            if cost > value:
-                value, key = cost, rk
-        removed = _collect_certificate(prov, nodes, top, key, lambda *a: None)
-        cert = {"removed_edges": [list(e) for e in sorted(removed)]}
-        if G.n <= caps.theta_n:
-            H = Graph(G.n, G.edges - removed)
-            cover = classical_parameter(H, "theta", caps)
-            if cover.value != value:
-                raise AssertionError(
-                    f"theta1 dp value {value} disagrees with the clique cover "
-                    f"number {cover.value} of its removed graph")
-            cert["clique_cover"] = cover.certificate["clique_cover"]
-        else:
-            cert["clique_cover"] = None
-        result = ParameterResult("theta", 1, value, cert)
-
+    strategy = _STRATEGIES[which](G, nice.width)
+    final, prov, nodes, top, stats = _run_dp(G, nice, strategy, trace)
+    key = value = None
+    for row, val in final.items():
+        row_value = strategy.value(row, val)
+        if key is None or strategy.better(row_value, value):
+            key, value = row, row_value
+    removed, forgotten = _walk_provenance(prov, nodes, top, key)
+    cert = {"removed_edges": [list(e) for e in sorted(removed)],
+            **strategy.certificate(removed, forgotten, value)}
+    result = ParameterResult(which[:-1], 1, value, cert)
     result.stats = {"max_rows": stats.max_rows, "rows_total": stats.rows_total,
                     "dp_nodes": len(nodes),
                     "elapsed_ms": (time.perf_counter() - t0) * 1000}

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from robusta import generate
+from robusta import cycle, generate, maximal_outerplanar
 from robusta.certify import validate_result
 from robusta.cli import _PARAM_ALIASES, build_parser, main
 
@@ -57,6 +57,21 @@ def test_compute_dp_engine():
                             "theta1", "--engine", "dp", "--no-timing"])
     assert code == 0
     assert report["results"][0]["value"] == 6
+
+
+@pytest.mark.parametrize("gen, G", [
+    (["cycle:17"], cycle(17)),
+    (["maximal-outerplanar:30", "--seed", "2"], maximal_outerplanar(30, 2)),
+])
+def test_compute_dp_beyond_exact_caps(gen, G):
+    # both graphs have more vertices than the exact theta cap (16)
+    code, report = run_cli(["compute", "--gen", *gen, "--engine", "dp",
+                            "--param", "chi1,omega1,alpha1,theta1", "--no-timing"])
+    assert code == 0
+    assert [r["requested_as"] for r in report["results"]] == \
+        ["chi1", "omega1", "alpha1", "theta1"]
+    for result in report["results"]:
+        validate_result(G, result)
 
 
 def test_compute_poly_bounds():

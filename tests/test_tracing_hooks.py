@@ -53,3 +53,31 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     assert tracer.calls["selection.enumerate.all"] > 0
     for name, original in before.items():
         assert getattr(robusta.exact, name) is original
+
+
+def test_tracer_dp_rows_cover_every_dp_token(tmp_path):
+    """The first traced pass of `perfbench/run.py --trace 1` passes
+    `trace_file=` to every dp call and reads the per-node dump back."""
+    tracing = _load_tracing()
+    original = robusta.treewidth.classical_parameter
+    tracer = tracing.Tracer(str(tmp_path), dp_rows=True)
+    saved = tracing.install(robusta, tracer)
+    try:
+        assert ("robusta.treewidth", "classical_parameter") in \
+            {(module.__name__, name) for module, name, _ in saved}
+        for token in tracing.DP:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = robusta.cli.main(["compute", "--gen", "erdos_renyi:9,0.35",
+                                         "--seed", "4", "--param", token,
+                                         "--engine", "dp", "--no-timing"])
+            assert code == 0, token
+    finally:
+        tracing.uninstall(saved)
+    metrics = tracer.metrics()
+    for token in tracing.DP:
+        key = f"treewidth.dp.{token}"
+        assert tracer.calls[key] == 1
+        kinds = [metrics[f"{key}.rows.{kind}"] for kind in tracing.ROW_KINDS]
+        assert all(rows > 0 for rows in kinds), (token, kinds)
+        assert sum(kinds) < metrics[f"{key}.rows_total"]  # leaves count too
+    assert robusta.treewidth.classical_parameter is original

@@ -4,8 +4,8 @@ import time
 import pytest
 
 from robusta import (Graph, complete, cycle, dp_robust, erdos_renyi,
-                     heuristic_decomposition, make_nice, path, read_td,
-                     robust_chromatic, robust_parameter,
+                     heuristic_decomposition, make_nice, maximal_outerplanar,
+                     path, read_td, robust_chromatic, robust_parameter,
                      validate_decomposition, write_td)
 from robusta.certify import validate_result
 from robusta.exact import CapExceeded
@@ -113,12 +113,17 @@ def test_dp_examples():
     assert dp_robust(K4, nice, "theta1").value == 3
 
 
-def test_dp_chi1_fixed_k_decision():
+def test_dp_chi1_colorings():
     K4 = complete(4)
-    nice = make_nice(heuristic_decomposition(K4), K4)
-    assert dp_robust(K4, nice, "chi1", k=2).value == 2
-    with pytest.raises(ValueError):
-        dp_robust(K4, nice, "chi1", k=1)
+    res = dp_robust(K4, make_nice(heuristic_decomposition(K4), K4), "chi1")
+    assert res.value == 2
+    assert len(set(res.certificate["coloring"])) == 2
+    G = maximal_outerplanar(30, 2)
+    nice = make_nice(heuristic_decomposition(G), G)
+    res = dp_robust(G, nice, "chi1")
+    validate_result(G, {"parameter": res.parameter, "s": 1, "value": res.value,
+                        "certificate": res.certificate})
+    assert len(set(res.certificate["coloring"])) <= nice.width // 2 + 1
 
 
 def test_dp_width_cap():
