@@ -19,12 +19,8 @@ class CertificateError(ValueError):
     pass
 
 
-def _edges(cert, key="removed_edges"):
-    return frozenset(tuple(sorted(e)) for e in cert.get(key, []))
-
-
 def _check_removed(G: Graph, cert: dict, s: int) -> frozenset:
-    F = _edges(cert)
+    F = frozenset(tuple(sorted(e)) for e in cert.get("removed_edges", []))
     if s == 0:
         if F:
             raise CertificateError("classical certificate removes edges")

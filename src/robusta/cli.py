@@ -28,7 +28,7 @@ import sys
 import time
 
 from . import certify
-from .exact import (DEFAULT_CAPS, CapExceeded, SolverCaps, classical_parameter,
+from .exact import (DEFAULT_CAPS, SolverCaps, classical_parameter,
                     iota, oracle_robust, robust_chromatic, robust_parameter,
                     robust_via_maximal)
 from .filters import explore_exact_conjecture
@@ -45,9 +45,7 @@ EXIT_INPUT = 3
 
 
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+    """Bad input or usage; `main` prints it and exits with EXIT_INPUT."""
 
 
 # -- parameter naming ---------------------------------------------------------
@@ -118,17 +116,21 @@ def _load_caps(args) -> SolverCaps:
     caps = DEFAULT_CAPS
     if getattr(args, "config", None):
         parser = configparser.ConfigParser()
-        read = parser.read(args.config)
+        try:
+            read = parser.read(args.config)
+            items = parser.items("caps") if parser.has_section("caps") else None
+        except configparser.Error as exc:
+            raise CliError(f"cannot parse config file {args.config}: {exc}") from exc
         if not read:
             raise CliError(f"cannot read config file {args.config}")
-        if parser.has_section("caps"):
+        if items is not None:
             known = {f.name for f in dataclasses.fields(SolverCaps)}
-            unknown = sorted(set(parser.options("caps")) - known)
+            unknown = sorted({k for k, _ in items} - known)
             if unknown:
                 raise CliError(f"unknown [caps] keys in {args.config}: "
                                f"{', '.join(unknown)}; known keys: "
                                f"{', '.join(sorted(known))}")
-            overrides = {k: int(v) for k, v in parser.items("caps")}
+            overrides = {k: int(v) for k, v in items}
             print(f"warning: overriding solver caps from {args.config}: "
                   f"{sorted(overrides)}", file=sys.stderr)
             caps = caps.override(**overrides)
@@ -195,7 +197,6 @@ def _poly_bounds(G: Graph, base: str, s: int) -> dict:
         raise CliError("engine poly-bounds supports chi1 and chi1prime")
     if base == "chi":
         rc = degeneracy_greedy(G)
-        d, _ = degeneracy_order(G)
         delta = G.max_degree()
         bounds = {
             "upper_degeneracy_greedy": rc.k,
@@ -651,13 +652,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # CapExceeded and ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

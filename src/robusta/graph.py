@@ -475,21 +475,26 @@ def _check_p(p: float) -> None:
         raise ValueError("probability must lie in [0, 1]")
 
 
+# kind -> (the parameters it expects, a trailing "..." meaning one or more;
+#          builder of the graph from (params, seed))
 _GENERATORS = {
-    "complete": lambda params, seed: complete(int(params[0])),
-    "cycle": lambda params, seed: cycle(int(params[0])),
-    "path": lambda params, seed: path(int(params[0])),
-    "star": lambda params, seed: star(int(params[0])),
-    "empty": lambda params, seed: empty_graph(int(params[0])),
-    "complete_multipartite": lambda params, seed: complete_multipartite([int(x) for x in params]),
-    "random_multipartite": lambda params, seed: random_multipartite(
-        int(params[0]), int(params[1]), float(params[2]), _need_seed(seed)),
-    "erdos_renyi": lambda params, seed: erdos_renyi(
-        int(params[0]), float(params[1]), _need_seed(seed)),
-    "random_bipartite": lambda params, seed: random_bipartite(
-        int(params[0]), int(params[1]), float(params[2]), _need_seed(seed)),
-    "maximal_outerplanar": lambda params, seed: maximal_outerplanar(int(params[0]), _need_seed(seed)),
-    "maximal_planar": lambda params, seed: maximal_planar(int(params[0]), _need_seed(seed)),
+    "complete": ("n", lambda params, seed: complete(int(params[0]))),
+    "cycle": ("n", lambda params, seed: cycle(int(params[0]))),
+    "path": ("n", lambda params, seed: path(int(params[0]))),
+    "star": ("m", lambda params, seed: star(int(params[0]))),
+    "empty": ("n", lambda params, seed: empty_graph(int(params[0]))),
+    "complete_multipartite": ("s1,s2,...", lambda params, seed: complete_multipartite(
+        [int(x) for x in params])),
+    "random_multipartite": ("m,r,p", lambda params, seed: random_multipartite(
+        int(params[0]), int(params[1]), float(params[2]), _need_seed(seed))),
+    "erdos_renyi": ("n,p", lambda params, seed: erdos_renyi(
+        int(params[0]), float(params[1]), _need_seed(seed))),
+    "random_bipartite": ("a,b,p", lambda params, seed: random_bipartite(
+        int(params[0]), int(params[1]), float(params[2]), _need_seed(seed))),
+    "maximal_outerplanar": ("n", lambda params, seed: maximal_outerplanar(
+        int(params[0]), _need_seed(seed))),
+    "maximal_planar": ("n", lambda params, seed: maximal_planar(
+        int(params[0]), _need_seed(seed))),
 }
 
 
@@ -500,8 +505,14 @@ def _need_seed(seed):
 
 
 def generate(kind: str, params: Sequence, seed: int | None = None) -> Graph:
-    """Named generator dispatch; seeded kinds are deterministic in (params, seed)."""
+    """Named generator dispatch; seeded kinds are deterministic in (params, seed).
+    A parameter count other than the kind expects raises ValueError."""
     key = kind.replace("-", "_")
     if key not in _GENERATORS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    return _GENERATORS[key](list(params), seed)
+    names, build = _GENERATORS[key]
+    params = list(params)
+    if not params or (not names.endswith("...") and len(params) != names.count(",") + 1):
+        raise ValueError(f"generator {kind!r} expects parameters {names}; "
+                         f"got {len(params)}")
+    return build(params, seed)

@@ -10,9 +10,10 @@ which enumerates each selection exactly once.  At join nodes both children
 must agree on the stored arcs, and a vertex may carry a forgotten-edge
 selection from at most one side (it selects only once).
 
-Every parameter is one optimization pass: a row is (arcs, pset, payload)
--> value, the table keeps the better value per row, and the answer is the
-best root row.  Parameter strategies:
+Every parameter is one optimization pass with one table per node: a row
+(arcs, pset, payload) maps to (value, provenance), the table keeps the
+better value per row, the provenance names the child row or rows it came
+from, and the answer is the best root row.  Parameter strategies:
 
 * alpha_1 maximizes jointly over selection and independent set; the
   payload is the set's trace on the bag.
@@ -432,11 +433,6 @@ def _sigma_introduce(arcs, pset, v, bag_nbrs):
             yield tuple(sorted(new_arcs)), frozenset(new_p), (v_arc, tuple(T))
 
 
-def _sigma_forget(arcs, pset, v):
-    new_arcs = tuple(sorted((a, b) for a, b in arcs if a != v and b != v))
-    return new_arcs, frozenset(pset - {v})
-
-
 def _join_pset(arcs, pa, pb):
     """Combined selection status at a join, or None if both sides claim a
     forgotten-edge selection for the same vertex."""
@@ -446,21 +442,14 @@ def _join_pset(arcs, pa, pb):
     return pa | pb
 
 
-class _DpStats:
-    def __init__(self):
-        self.max_rows = 0
-        self.rows_total = 0
-
-
 def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
-    """Bottom-up table pass; returns (final table, prov, nodes, top, stats).
-
-    Table rows are (arcs, pset, payload) -> value, and a row keeps the value
-    the strategy finds better; `prov` mirrors the tables with provenance
-    tuples for certificate reconstruction.  A strategy with a `dominates`
-    test has each finished table pruned before it is stored and counted, so
-    kept rows only point at kept child rows.  `trace`, when a list, collects
-    one record per node: rows kept and rows pruned.
+    """Bottom-up table pass; returns (tables, nodes, top).  `tables[node]`
+    maps a row (arcs, pset, payload) to (value, provenance): the value the
+    strategy finds better, and the child row it came from (with the
+    `(v_arc, T)` choice at an introduce, both child rows at a join, None at
+    a leaf).  A strategy with a `dominates` test has each finished table
+    pruned before it is stored, so kept rows only point at kept child rows.
+    `trace`, when a list, collects one record per node: rows kept and pruned.
     """
     nodes = list(nice.nodes)
     cur = nice.root
@@ -470,81 +459,67 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
         nodes.append(NiceNode("forget", frozenset(bag), v, (cur,)))
         cur = len(nodes) - 1
     top = cur
-    order = _postorder(nodes, top)
-    tables: list[dict | None] = [None] * len(nodes)
-    prov: list[dict] = [dict() for _ in nodes]
-    stats = _DpStats()
+    tables: dict[int, dict] = {}
 
-    for node in order:
+    for node in _postorder(nodes, top):
         nd = nodes[node]
+        v = nd.vertex
         tbl: dict = {}
-        pv = prov[node]
 
         def put(key, value, p):
             old = tbl.get(key)
-            if old is None or strategy.better(value, old):
-                tbl[key] = value
-                pv[key] = p
+            if old is None or strategy.better(value, old[0]):
+                tbl[key] = (value, p)
 
         if nd.kind == "leaf":
             (v,) = nd.bag
             for pay, val in strategy.leaf(v):
-                put(((), frozenset(), pay), val, ("leaf",))
+                put(((), frozenset(), pay), val, None)
         elif nd.kind == "introduce":
             (c,) = nd.children
-            v = nd.vertex
             bag_nbrs = sorted(u for u in G.adj[v] if u in nodes[c].bag)
             groups: dict[tuple, list] = {}
-            for (arcs, pset, pay), val in tables[c].items():
-                groups.setdefault((arcs, pset), []).append((pay, val))
+            for key, (val, _) in tables[c].items():
+                groups.setdefault(key[:2], []).append((key, val))
             for (arcs, pset), rows in groups.items():
                 for arcs2, pset2, choice in _sigma_introduce(arcs, pset, v, bag_nbrs):
                     removed = _removed(arcs2)
-                    for pay, val in rows:
-                        for pay2, val2 in strategy.introduce(v, bag_nbrs, removed, pay, val):
-                            put((arcs2, pset2, pay2), val2,
-                                ("intro", (arcs, pset, pay), choice, v, c))
-            tables[c] = None
+                    for key, val in rows:
+                        for pay2, val2 in strategy.introduce(v, bag_nbrs, removed, key[2], val):
+                            put((arcs2, pset2, pay2), val2, (key, choice))
         elif nd.kind == "forget":
             (c,) = nd.children
-            v = nd.vertex
-            for (arcs, pset, pay), val in tables[c].items():
-                arcs2, pset2 = _sigma_forget(arcs, pset, v)
-                pay2, val2 = strategy.forget(v, pay, val)
-                put((arcs2, pset2, pay2), val2, ("forget", (arcs, pset, pay), c))
-            tables[c] = None
+            for key, (val, _) in tables[c].items():
+                arcs = tuple(arc for arc in key[0] if v not in arc)  # stays sorted
+                pay2, val2 = strategy.forget(v, key[2], val)
+                put((arcs, key[1] - {v}, pay2), val2, key)
         else:  # join
             a, b = nd.children
             buckets: dict[tuple, list] = {}
-            for (arcs, pset, pay), val in tables[b].items():
-                buckets.setdefault((arcs, strategy.join_key(pay)), []).append(
-                    (pset, pay, val))
-            for (arcs, pset, pay), val in tables[a].items():
-                for pb, payb, valb in buckets.get((arcs, strategy.join_key(pay)), ()):
-                    combined = _join_pset(arcs, pset, pb)
+            for key, (val, _) in tables[b].items():
+                buckets.setdefault((key[0], strategy.join_key(key[2])), []).append(
+                    (key, val))
+            for key, (val, _) in tables[a].items():
+                arcs, pset, pay = key
+                for key_b, valb in buckets.get((arcs, strategy.join_key(pay)), ()):
+                    combined = _join_pset(arcs, pset, key_b[1])
                     if combined is None:
                         continue
-                    res = strategy.join(pay, val, payb, valb)
+                    res = strategy.join(pay, val, key_b[2], valb)
                     if res is None:
                         continue
                     pay2, val2 = res
-                    put((arcs, combined, pay2), val2,
-                        ("join", (arcs, pset, pay), (arcs, pb, payb), a, b))
-            tables[a] = None
-            tables[b] = None
+                    put((arcs, combined, pay2), val2, (key, key_b))
 
         dropped = _dominated_rows(tbl, strategy.dominates) if strategy.dominates else ()
         for key in dropped:
             del tbl[key]
-            del pv[key]
         tables[node] = tbl
-        stats.max_rows = max(stats.max_rows, len(tbl))
-        stats.rows_total += len(tbl)
         if trace is not None:
             trace.append({"node": node, "kind": nd.kind, "bag": sorted(nd.bag),
                           "rows": len(tbl), "pruned": len(dropped)})
 
-    return tables[top], prov, nodes, top, stats
+    return tables, nodes, top
 
 
 def _dominated_rows(tbl, dominates) -> list:
@@ -570,7 +545,7 @@ def _dominated_rows(tbl, dominates) -> list:
     return dropped
 
 
-def _walk_provenance(prov, nodes, top, key):
+def _walk_provenance(tables, nodes, top, key):
     """Walk provenance down from (top, key); returns the chosen removed edges
     and, for every vertex, the payload of the row it was forgotten from.
     The walk is top-down, and `forgotten` lists the vertices in walk order,
@@ -579,22 +554,21 @@ def _walk_provenance(prov, nodes, top, key):
     forgotten: dict[int, object] = {}
     stack = [(top, key)]
     while stack:
-        nd, k = stack.pop()
-        entry = prov[nd][k]
-        kind = entry[0]
-        if kind == "intro":
-            child_key, (v_arc, T), v, c = entry[1], entry[2], entry[3], entry[4]
+        node, k = stack.pop()
+        nd = nodes[node]
+        p = tables[node][k][1]
+        if nd.kind == "introduce":
+            child_key, (v_arc, T) = p
             if v_arc is not None:
-                removed.add(_norm(v, v_arc))
+                removed.add(_norm(nd.vertex, v_arc))
             for u in T:
-                removed.add(_norm(u, v))
-            stack.append((c, child_key))
-        elif kind == "forget":
-            forgotten[nodes[nd].vertex] = entry[1][2]
-            stack.append((entry[2], entry[1]))
-        elif kind == "join":
-            stack.append((entry[3], entry[1]))
-            stack.append((entry[4], entry[2]))
+                removed.add(_norm(u, nd.vertex))
+            stack.append((nd.children[0], child_key))
+        elif nd.kind == "forget":
+            forgotten[nd.vertex] = p[2]
+            stack.append((nd.children[0], p))
+        elif nd.kind == "join":
+            stack += zip(nd.children, p)
     return removed, forgotten
 
 
@@ -613,8 +587,8 @@ def _kernel_certificate(G: Graph, removed, which: str, value: int) -> dict:
 
 class _Strategy:
     """Hook defaults for a maximizing strategy; each strategy overrides the
-    hooks it changes.  `value(key, val)` reads the answer off a root row,
-    and `certificate(removed, forgotten, value)` builds the certificate
+    hooks it changes.  `value(pay, val)` reads the answer off the payload
+    and value of a root row, and `certificate(removed, forgotten, value)` builds the certificate
     entries beyond the removed edges."""
 
     dominates = None  # no dominance test: finished tables are not pruned
@@ -631,7 +605,7 @@ class _Strategy:
         return pay
 
     @staticmethod
-    def value(key, val):
+    def value(pay, val):
         return val
 
 
@@ -760,8 +734,7 @@ class _ThetaStrategy(_Strategy):
         return None  # profiles pair up inside join()
 
     @staticmethod
-    def value(key, val):
-        profile = key[2]
+    def value(profile, val):
         if len(profile) != 1 or profile[0][0] != ():
             raise AssertionError(
                 f"theta1 root row must hold one cost for the empty bag, got {profile!r}")
@@ -871,17 +844,18 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
     t0 = time.perf_counter()
     trace: list | None = [] if trace_file else None
     strategy = _STRATEGIES[which](G, nice.width)
-    final, prov, nodes, top, stats = _run_dp(G, nice, strategy, trace)
+    tables, nodes, top = _run_dp(G, nice, strategy, trace)
     key = value = None
-    for row, val in final.items():
-        row_value = strategy.value(row, val)
+    for row, (val, _) in tables[top].items():
+        row_value = strategy.value(row[2], val)
         if key is None or strategy.better(row_value, value):
             key, value = row, row_value
-    removed, forgotten = _walk_provenance(prov, nodes, top, key)
+    removed, forgotten = _walk_provenance(tables, nodes, top, key)
     cert = {"removed_edges": [list(e) for e in sorted(removed)],
             **strategy.certificate(removed, forgotten, value)}
     result = ParameterResult(which[:-1], 1, value, cert)
-    result.stats = {"max_rows": stats.max_rows, "rows_total": stats.rows_total,
+    sizes = [len(tbl) for tbl in tables.values()]
+    result.stats = {"max_rows": max(sizes), "rows_total": sum(sizes),
                     "dp_nodes": len(nodes),
                     "elapsed_ms": (time.perf_counter() - t0) * 1000}
     if trace_file:

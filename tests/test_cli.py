@@ -357,6 +357,30 @@ def test_config_unknown_cap_key_exit3(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["not an ini\n", "[caps]\nchi_n = 4\nchi_n = 5\n"])
+def test_config_unparsable_exit3(tmp_path, capsys, text):
+    cfg = tmp_path / "broken.ini"
+    cfg.write_text(text)
+    code, report = run_cli(["compute", "--gen", "complete:4", "--param", "chi1",
+                            "--config", str(cfg), "--no-timing"])
+    assert code == 3 and report is None
+    assert str(cfg) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expects", [
+    (["--gen", "complete"], "n"),
+    (["--gen", "complete:3,9"], "n"),
+    (["--gen", "erdos-renyi:5", "--seed", "1"], "n,p"),
+    (["--gen", "random-multipartite:2", "--seed", "1"], "m,r,p"),
+    (["--gen", "complete-multipartite"], "s1,s2,..."),
+])
+def test_gen_wrong_parameter_count_exit3(capsys, argv, expects):
+    code, report = run_cli(["compute", *argv, "--param", "chi", "--no-timing"])
+    assert code == 3 and report is None
+    kind = argv[1].split(":")[0]
+    assert f"generator {kind!r} expects parameters {expects};" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("s", ["1", "2"])
 def test_engines_agree_on_every_param_token(s):
     """Every --param token through exact, oracle and maximal gives the same

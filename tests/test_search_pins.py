@@ -1,12 +1,15 @@
-"""Pinned search results: the exact, oracle and maximal tiers must keep
-their values, certificates and node counts byte for byte.
+"""Pinned search results: the exact, oracle and maximal tiers and the
+treewidth DP must keep their values, certificates and node or row counts
+byte for byte.
 
 A speed change to a search (bit tricks, fewer temporary objects) must visit
 the same nodes in the same order; these digests catch one that does not.
 Each digest is the sha256 of (value, certificate, stats.nodes), as sorted
-JSON, over a fixed list of seeded graphs.  To re-pin after a deliberate
-change of search order, print `_digest(...)` for every key and say why in
-the change log.
+JSON, over a fixed list of seeded graphs.  A DP digest hashes the DP stats
+without `elapsed_ms` in place of `stats.nodes`; a DP table that breaks its
+ties in another row order changes its certificates.  To re-pin after a
+deliberate change of search order, print `_digest(...)` or `_dp_digest(...)`
+for every key and say why in the change log.
 """
 
 import hashlib
@@ -14,15 +17,22 @@ import json
 
 import pytest
 
-from robusta import (Graph, complete, erdos_renyi, oracle_robust, robust_parameter,
-                     robust_via_maximal)
+from robusta import (Graph, complete, cycle, dp_robust, erdos_renyi,
+                     heuristic_decomposition, make_nice, oracle_robust,
+                     robust_parameter, robust_via_maximal)
 from robusta.exact import _complement_masks, _removed_masks
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 EXACT_GRAPHS = [(n, p, seed) for n in (6, 7, 8, 9) for p, seed in ((0.4, n), (0.6, n + 10))]
 ENUM_GRAPHS = [(n, p, seed) for n in (4, 5, 6) for p, seed in ((0.5, n), (0.7, n + 10))]
+# heuristic width <= 3 each, plus cycle(17), which is past the exact caps
+DP_GRAPHS = [(n, 2.6 / n, seed) for n in range(4, 11) for seed in (n, n + 10)]
 
 PINNED = {
+    "dp:alpha1": "3991a912260bd888d218488fc2ad854c9b6b90390ef632f49c2d709f594d0c35",
+    "dp:chi1": "83499f71efd59f69491beb446b0a98f03ce2e5c154b359d5e3223f524503e57b",
+    "dp:omega1": "f3a6500b9e8d3108eb0757e089f7883b7fe08a1219bd493ae0a95eaf4d996d47",
+    "dp:theta1": "c36960c823d33e2f12cf816164c1a5eb354ad76c6fcaedb9a12f52a8211a0b97",
     "exact:chi:1": "abeb28a250cb06e93e1fa52772afcb277c203d2d81121fecadce5946d65c6764",
     "exact:chi:2": "0b64b4154e25f009b54db67c5ad1452c60a653b653f3944b8e2404e8eb41d553",
     "exact:omega:1": "ceb12e61ba9a491688d1c1eac919ec143cb4b200475c2ff58554ce07430f9731",
@@ -56,6 +66,16 @@ PINNED = {
 }
 
 
+def _dp_digest(which):
+    h = hashlib.sha256()
+    for G in [erdos_renyi(*spec) for spec in DP_GRAPHS] + [cycle(17)]:
+        r = dp_robust(G, make_nice(heuristic_decomposition(G), G), which)
+        stats = {k: v for k, v in r.stats.items() if k != "elapsed_ms"}
+        h.update(json.dumps([r.value, r.certificate, stats], sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def _digest(engine, which, s):
     graphs = EXACT_GRAPHS if engine == "exact" else ENUM_GRAPHS
     solve = {"exact": robust_parameter, "oracle": oracle_robust,
@@ -71,8 +91,9 @@ def _digest(engine, which, s):
 
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_search_digest_is_pinned(key):
-    engine, which, s = key.split(":")
-    assert _digest(engine, which, int(s)) == PINNED[key]
+    engine, which, *s = key.split(":")
+    got = _dp_digest(which) if engine == "dp" else _digest(engine, which, int(s[0]))
+    assert got == PINNED[key]
 
 
 def test_removed_and_complement_masks_match_graph():
