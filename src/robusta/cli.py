@@ -112,6 +112,14 @@ def _load_graph(args) -> tuple[Graph, dict]:
     raise CliError("a graph source is required (--gen or --input)")
 
 
+def _cap_value(path: str, key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"[caps] {key} in {path}: expected an integer, "
+                       f"got {text!r}") from None
+
+
 def _load_caps(args) -> SolverCaps:
     caps = DEFAULT_CAPS
     if getattr(args, "config", None):
@@ -130,7 +138,7 @@ def _load_caps(args) -> SolverCaps:
                 raise CliError(f"unknown [caps] keys in {args.config}: "
                                f"{', '.join(unknown)}; known keys: "
                                f"{', '.join(sorted(known))}")
-            overrides = {k: int(v) for k, v in items}
+            overrides = {k: _cap_value(args.config, k, v) for k, v in items}
             print(f"warning: overriding solver caps from {args.config}: "
                   f"{sorted(overrides)}", file=sys.stderr)
             caps = caps.override(**overrides)

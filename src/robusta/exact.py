@@ -96,10 +96,11 @@ def _bits(mask: int):
 # ---------------------------------------------------------------------------
 
 
-def _max_clique(n: int, masks: list[int]):
-    """Largest clique via branch and bound with a greedy coloring bound."""
+def _max_clique(n: int, masks: list[int], floor: int = 0):
+    """Largest clique via branch and bound with a greedy coloring bound.
+    Only cliques larger than `floor` count: with none, the clique is []."""
     best_mask = 0
-    best_size = 0
+    best_size = floor
     nodes = 0
 
     def expand(rmask, rsize, pmask):
@@ -130,6 +131,18 @@ def _max_clique(n: int, masks: list[int]):
     full = (1 << n) - 1
     expand(0, 0, full)
     return sorted(_bits(best_mask)), nodes
+
+
+def _greedy_clique(n: int, masks: list[int]) -> list[int]:
+    """A maximal clique grown by taking, each time, the candidate with the
+    most candidate neighbours (lowest index on ties)."""
+    clique = []
+    cand = (1 << n) - 1
+    while cand:
+        v = max(_bits(cand), key=lambda u: ((masks[u] & cand).bit_count(), -u))
+        clique.append(v)
+        cand &= masks[v]
+    return clique
 
 
 def _dsatur(n: int, masks: list[int]) -> list[int]:
@@ -375,9 +388,9 @@ def _max_feasible_subset(G: Graph, feasible):
 # ---------------------------------------------------------------------------
 
 
-def _require(cond: bool, what: str, n: int, cap: int):
+def _require(cond: bool, what: str, size: int, cap: int, counted: str = "vertex count"):
     if not cond:
-        raise CapExceeded(f"{what}: instance size {n} exceeds cap {cap}")
+        raise CapExceeded(f"{what}: {counted} {size} exceeds cap {cap}")
 
 
 def _removed_masks(G: Graph, F) -> list[int]:
@@ -423,6 +436,25 @@ def _classical_kernel(n: int, masks: list[int], which: str):
     raise ValueError(f"unknown robust parameter {which!r}")
 
 
+def _cannot_beat(n: int, masks: list[int], which: str, best: int) -> bool:
+    """True when classical bounds show that `which` of the graph with
+    adjacency masks `masks` cannot strictly beat the incumbent `best >= 0`:
+    cannot go below it for chi, omega and chi_prime, nor above it for alpha
+    and theta.  False means only that the bounds did not decide."""
+    if which in ("chi", "omega"):
+        return len(_greedy_clique(n, masks)) >= best
+    if which == "chi_prime":
+        return max((m.bit_count() for m in masks), default=0) >= best
+    comp = _complement_masks(n, masks)
+    if which == "alpha":
+        return not _max_clique(n, comp, floor=best)[0]
+    if which == "theta":
+        if max(_dsatur(n, comp), default=-1) < best:  # at most best colours
+            return True
+        return _k_coloring(n, comp, best, _greedy_clique(n, comp))[0] is not None
+    raise ValueError(f"unknown robust parameter {which!r}")
+
+
 def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
     t0 = time.perf_counter()
     if which == "arboricity":
@@ -435,10 +467,10 @@ def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -
         cert, nodes = {"elimination_ordering": order}, 0
     elif which in ROBUST:
         if which == "chi_prime":
-            size, cap = G.m, caps.chi_prime_edges
+            size, cap, counted = G.m, caps.chi_prime_edges, "edge count"
         else:
-            size, cap = G.n, getattr(caps, f"{which}_n")
-        _require(size <= cap, which, size, cap)
+            size, cap, counted = G.n, getattr(caps, f"{which}_n"), "vertex count"
+        _require(size <= cap, which, size, cap, counted)
         value, cert, nodes = _classical_kernel(G.n, G.adjacency_masks(), which)
     else:
         raise ValueError(f"unknown classical parameter {which!r}")
@@ -890,14 +922,19 @@ _MINIMIZED = {"chi": True, "omega": True, "chi_prime": True, "alpha": False, "th
 def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
                        edge_cap: int | None) -> ParameterResult:
     """Best classical value over G - F for every F that
-    enumerate_removable_sets streams in `mode`; stats.nodes counts the sets."""
+    enumerate_removable_sets streams in `mode`; stats.nodes counts the sets.
+    The first F with the best value wins; a set that _cannot_beat the
+    incumbent is counted but not evaluated."""
     t0 = time.perf_counter()
     minimize = _MINIMIZED[which]
     best = None
     count = 0
     for F in enumerate_removable_sets(G, s, mode, edge_cap=edge_cap):
         count += 1
-        val, cert, _ = _classical_kernel(G.n, _removed_masks(G, F), which)
+        masks = _removed_masks(G, F)
+        if best is not None and _cannot_beat(G.n, masks, which, best[0]):
+            continue
+        val, cert, _ = _classical_kernel(G.n, masks, which)
         if best is None or (val < best[0] if minimize else val > best[0]):
             best = (val, F, cert)
     val, F, cert = best
@@ -910,7 +947,7 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
 def oracle_robust(G: Graph, which: str, s: int,
                   caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
     """Exhaustive enumeration over every removable set; the test oracle."""
-    _require(G.m <= caps.oracle_edges, "oracle", G.m, caps.oracle_edges)
+    _require(G.m <= caps.oracle_edges, "oracle", G.m, caps.oracle_edges, "edge count")
     return _enumerated_robust(G, which, s, "all", caps.oracle_edges)
 
 

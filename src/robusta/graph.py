@@ -476,43 +476,49 @@ def _check_p(p: float) -> None:
 
 
 # kind -> (the parameters it expects, a trailing "..." meaning one or more;
-#          builder of the graph from (params, seed))
+#          the builder; whether it takes a seed).  A parameter named p is a
+#          number, every other one an integer.
 _GENERATORS = {
-    "complete": ("n", lambda params, seed: complete(int(params[0]))),
-    "cycle": ("n", lambda params, seed: cycle(int(params[0]))),
-    "path": ("n", lambda params, seed: path(int(params[0]))),
-    "star": ("m", lambda params, seed: star(int(params[0]))),
-    "empty": ("n", lambda params, seed: empty_graph(int(params[0]))),
-    "complete_multipartite": ("s1,s2,...", lambda params, seed: complete_multipartite(
-        [int(x) for x in params])),
-    "random_multipartite": ("m,r,p", lambda params, seed: random_multipartite(
-        int(params[0]), int(params[1]), float(params[2]), _need_seed(seed))),
-    "erdos_renyi": ("n,p", lambda params, seed: erdos_renyi(
-        int(params[0]), float(params[1]), _need_seed(seed))),
-    "random_bipartite": ("a,b,p", lambda params, seed: random_bipartite(
-        int(params[0]), int(params[1]), float(params[2]), _need_seed(seed))),
-    "maximal_outerplanar": ("n", lambda params, seed: maximal_outerplanar(
-        int(params[0]), _need_seed(seed))),
-    "maximal_planar": ("n", lambda params, seed: maximal_planar(
-        int(params[0]), _need_seed(seed))),
+    "complete": ("n", complete, False),
+    "cycle": ("n", cycle, False),
+    "path": ("n", path, False),
+    "star": ("m", star, False),
+    "empty": ("n", empty_graph, False),
+    "complete_multipartite": ("s1,s2,...", lambda *sizes: complete_multipartite(sizes), False),
+    "random_multipartite": ("m,r,p", random_multipartite, True),
+    "erdos_renyi": ("n,p", erdos_renyi, True),
+    "random_bipartite": ("a,b,p", random_bipartite, True),
+    "maximal_outerplanar": ("n", maximal_outerplanar, True),
+    "maximal_planar": ("n", maximal_planar, True),
 }
 
 
-def _need_seed(seed):
-    if seed is None:
-        raise ValueError("this generator needs an explicit seed")
-    return seed
+def _generator_arg(kind: str, name: str, value):
+    convert, expected = (float, "a number") if name == "p" else (int, "an integer")
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"generator {kind!r} parameter {name}: "
+                         f"expected {expected}, got {value!r}") from None
 
 
 def generate(kind: str, params: Sequence, seed: int | None = None) -> Graph:
     """Named generator dispatch; seeded kinds are deterministic in (params, seed).
-    A parameter count other than the kind expects raises ValueError."""
+    A parameter count other than the kind expects, or a parameter that is not
+    a number, raises ValueError."""
     key = kind.replace("-", "_")
     if key not in _GENERATORS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    names, build = _GENERATORS[key]
+    names, build, seeded = _GENERATORS[key]
     params = list(params)
     if not params or (not names.endswith("...") and len(params) != names.count(",") + 1):
         raise ValueError(f"generator {kind!r} expects parameters {names}; "
                          f"got {len(params)}")
-    return build(params, seed)
+    labels = ([f"s{i + 1}" for i in range(len(params))] if names.endswith("...")
+              else names.split(","))
+    args = [_generator_arg(kind, name, v) for name, v in zip(labels, params)]
+    if seeded:
+        if seed is None:
+            raise ValueError("this generator needs an explicit seed")
+        args.append(seed)
+    return build(*args)

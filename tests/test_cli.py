@@ -381,6 +381,32 @@ def test_gen_wrong_parameter_count_exit3(capsys, argv, expects):
     assert f"generator {kind!r} expects parameters {expects};" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--gen", "complete:abc"],
+     "generator 'complete' parameter n: expected an integer, got 'abc'"),
+    (["--gen", "erdos-renyi:5,abc", "--seed", "1"],
+     "generator 'erdos-renyi' parameter p: expected a number, got 'abc'"),
+    (["--config", "CAPS"],
+     "[caps] chi_n in CAPS: expected an integer, got 'four'"),
+], ids=["gen-integer", "gen-number", "config-cap"])
+def test_non_numeric_value_names_its_field_exit3(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "caps.ini"
+    cfg.write_text("[caps]\nchi_n = four\n")
+    argv = [str(cfg) if a == "CAPS" else a for a in argv]
+    if "--gen" not in argv:
+        argv += ["--gen", "complete:4"]
+    code, report = run_cli(["compute", *argv, "--param", "chi", "--no-timing"])
+    assert code == 3 and report is None
+    assert f"error: {message.replace('CAPS', str(cfg))}" in capsys.readouterr().err
+
+
+def test_oracle_cap_error_names_the_edge_count(capsys):
+    code, report = run_cli(["compute", "--gen", "complete:7", "--param", "chi",
+                            "--s", "1", "--engine", "oracle", "--no-timing"])
+    assert code == 3 and report is None
+    assert "error: oracle: edge count 21 exceeds cap 18" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("s", ["1", "2"])
 def test_engines_agree_on_every_param_token(s):
     """Every --param token through exact, oracle and maximal gives the same

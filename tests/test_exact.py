@@ -6,7 +6,8 @@ from robusta import (CapExceeded, Graph, canonical_form, classical_parameter,
                      robust_chromatic, robust_parameter, robust_via_maximal,
                      star)
 from robusta.certify import CertificateError, validate_result
-from robusta.exact import SolverCaps
+from robusta.exact import SolverCaps, _cannot_beat, _classical_kernel
+from robusta.filters import nonisomorphic_graphs
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 
@@ -107,6 +108,24 @@ def test_oracle_solver_agreement():
                 assert o.value == e.value, (seed, n, p, s, which)
                 checked += 1
     assert checked >= 300 * 10
+
+
+def test_cannot_beat_is_sound_on_all_small_graphs():
+    """Whenever the enumeration tiers' skip test says G - F cannot beat the
+    incumbent, the classical kernel agrees; and the test decides the cases
+    where no value could beat it (below 0, or above n)."""
+    for n in range(7):
+        for G in nonisomorphic_graphs(n):
+            masks = G.adjacency_masks()
+            for which in PARAMS:
+                value = _classical_kernel(n, masks, which)[0]
+                minimize = which in ("chi", "omega", "chi_prime")
+                for best in range(n + 2):
+                    skip = _cannot_beat(n, masks, which, best)
+                    beats = value < best if minimize else value > best
+                    assert not (skip and beats), (G.sorted_edges(), which, best)
+                    if (best == 0) if minimize else (best >= n):
+                        assert skip, (G.sorted_edges(), which, best)
 
 
 def test_maximal_tier_agreement():

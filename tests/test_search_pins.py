@@ -8,8 +8,9 @@ Each digest is the sha256 of (value, certificate, stats.nodes), as sorted
 JSON, over a fixed list of seeded graphs.  A DP digest hashes the DP stats
 without `elapsed_ms` in place of `stats.nodes`; a DP table that breaks its
 ties in another row order changes its certificates.  To re-pin after a
-deliberate change of search order, print `_digest(...)` or `_dp_digest(...)`
-for every key and say why in the change log.
+deliberate change of search order, print `_digest(...)`,
+`_bench_shaped_digest(...)` or `_dp_digest(...)` for every key and say why
+in the change log.
 """
 
 import hashlib
@@ -25,6 +26,8 @@ from robusta.exact import _complement_masks, _removed_masks
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 EXACT_GRAPHS = [(n, p, seed) for n in (6, 7, 8, 9) for p, seed in ((0.4, n), (0.6, n + 10))]
 ENUM_GRAPHS = [(n, p, seed) for n in (4, 5, 6) for p, seed in ((0.5, n), (0.7, n + 10))]
+# shaped like the oracle benchmark's heaviest cells: (n, m, first seed)
+BENCH_SHAPED_GRAPHS = [(6, 8, seed) for seed in (1, 40, 80)] + [(7, 6, seed) for seed in (1, 40, 80)]
 # heuristic width <= 3 each, plus cycle(17), which is past the exact caps
 DP_GRAPHS = [(n, 2.6 / n, seed) for n in range(4, 11) for seed in (n, n + 10)]
 
@@ -66,6 +69,41 @@ PINNED = {
 }
 
 
+BENCH_SHAPED_PINNED = {
+    "oracle:chi:1": "98dad01f47e8b9c8b5a8c9b33464063c2c914032b7a21ca713ea7638a6fbde6d",
+    "oracle:chi:2": "3291731069ffa8352c35ae0d42370524b262a8b24189494164985aacfae0012a",
+    "oracle:omega:1": "ed5eb031aae396898a59469ae2dbbd4d9727a7cf8d3a579fd33ee9f23c1e9e92",
+    "oracle:omega:2": "6eac2f38e756bd3a4f8d80cf13a926f29df84e3d11ba8fa0e2b814f8b57517b1",
+    "oracle:alpha:1": "37305ba1e264aef7761d5291070104ccacb623aa87640708e6cc6c0875a84493",
+    "oracle:alpha:2": "b6a4ab0e27d314fb949b6d8af1cb662ff9b872d822b687547d9a01ed11b61c3d",
+    "oracle:theta:1": "fd423079fc348d62f1aa3df8c8459d922b6e905b62b3cba87bb292c8361213d3",
+    "oracle:theta:2": "cefb7f53aa643a57a10fc3cf7beba4f03eaad0b5a4909925a22c546b69a42d79",
+    "oracle:chi_prime:1": "e50d22fa50656f4c051a37b600fc3a529cf990faabfa1028ad446b1be53f16fd",
+    "oracle:chi_prime:2": "2820be35c389bf497107d2173d85d7af6ec6fe6d9f030e53a8bb8764839413a9",
+    "maximal:chi:1": "a9f299fbf581a9b483bb114e8b368a4befbbe37cd6ca35a5d648c37771bbcc02",
+    "maximal:chi:2": "93c1f2d31944e3d36cda990a0ebf59ad43524f3b53f92b689531a6d0db6bd0a0",
+    "maximal:omega:1": "e61b7fcc18a1c0a147c036649661a3a4aeae8006228bf0235897fb5cfbad436e",
+    "maximal:omega:2": "c05b2c7a96877a5fdb04a9a642db1fa31eb2f92d3fd211553b7f540828097413",
+    "maximal:alpha:1": "3eae30ff78da1399f8aa0df47216cdc1b22d35d3de6eab950be70a4154661bf1",
+    "maximal:alpha:2": "4e9085926a4c8dc422b4313ef3219d8fde607f22ac37318d1b05daa76a6af5f7",
+    "maximal:theta:1": "7d76a2303377a2a6700622031699f147b5c04d29ce149a6cbaf1865d8ef04d73",
+    "maximal:theta:2": "26c8d56f063de6535c282fa285e1b9d0df98234d32f9ff456f59d5594d783b65",
+    "maximal:chi_prime:1": "2a19109641dd97f79ba0c475826855d1e11c2392820cd65ffaa594a1af8752f5",
+    "maximal:chi_prime:2": "cf00696f3589ea6bb1d449f69681b10d6fff4f8fb4350e647b38d24daf782790",
+}
+
+
+def _bench_shaped(n, m, seed):
+    """The first erdos_renyi(n, m / C(n, 2), seed') with exactly m edges,
+    for seed' = seed, seed + 1, ..."""
+    p = m / (n * (n - 1) // 2)
+    while True:
+        G = erdos_renyi(n, p, seed)
+        if G.m == m:
+            return G
+        seed += 1
+
+
 def _dp_digest(which):
     h = hashlib.sha256()
     for G in [erdos_renyi(*spec) for spec in DP_GRAPHS] + [cycle(17)]:
@@ -78,11 +116,20 @@ def _dp_digest(which):
 
 def _digest(engine, which, s):
     graphs = EXACT_GRAPHS if engine == "exact" else ENUM_GRAPHS
+    return _results_digest(engine, which, s, [erdos_renyi(*spec) for spec in graphs])
+
+
+def _bench_shaped_digest(engine, which, s):
+    return _results_digest(engine, which, s,
+                           [_bench_shaped(*spec) for spec in BENCH_SHAPED_GRAPHS])
+
+
+def _results_digest(engine, which, s, graphs):
     solve = {"exact": robust_parameter, "oracle": oracle_robust,
              "maximal": robust_via_maximal}[engine]
     h = hashlib.sha256()
-    for n, p, seed in graphs:
-        r = solve(erdos_renyi(n, p, seed), which, s)
+    for G in graphs:
+        r = solve(G, which, s)
         h.update(json.dumps([r.value, r.certificate, r.stats["nodes"]],
                             sort_keys=True).encode())
         h.update(b"\n")
@@ -94,6 +141,12 @@ def test_search_digest_is_pinned(key):
     engine, which, *s = key.split(":")
     got = _dp_digest(which) if engine == "dp" else _digest(engine, which, int(s[0]))
     assert got == PINNED[key]
+
+
+@pytest.mark.parametrize("key", sorted(BENCH_SHAPED_PINNED))
+def test_bench_shaped_digest_is_pinned(key):
+    engine, which, s = key.split(":")
+    assert _bench_shaped_digest(engine, which, int(s)) == BENCH_SHAPED_PINNED[key]
 
 
 def test_removed_and_complement_masks_match_graph():
