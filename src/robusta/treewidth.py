@@ -2,9 +2,11 @@
 robust parameters on bounded-treewidth graphs.
 
 Shared selection state per bag: `arcs` is the partial selection restricted
-to bag-internal edges, stored as (tail, head) pairs with out-degree <= 1;
-`pset` is the set of bag vertices whose selection is already spent, either
-on a stored arc or on an edge into the already-forgotten region.  Every
+to bag-internal edges, with out-degree <= 1, stored as an int with two bits
+per edge index i of G.sorted_edges() (bit 2i: the lower endpoint selects
+the edge, bit 2i + 1: the higher one does); `pset` is the vertex bitmask
+of the bag vertices whose selection is already spent, either on a stored
+arc or on an edge into the already-forgotten region.  Every
 selection choice is made when the later endpoint of its edge is introduced,
 which enumerates each selection exactly once.  At join nodes both children
 must agree on the stored arcs, and a vertex may carry a forgotten-edge
@@ -260,7 +262,7 @@ class NiceNode:
 @dataclass
 class NiceTreeDecomposition:
     nodes: list[NiceNode]
-    root: int
+    root: int | None  # None only for the empty graph, which has no nodes
 
     @property
     def width(self) -> int:
@@ -313,12 +315,13 @@ def _postorder(nodes: list[NiceNode], root: int) -> list[int]:
 def make_nice(T: TreeDecomposition, G: Graph) -> NiceTreeDecomposition:
     """Equal-width nice form: singleton leaves, unit introduce/forget steps,
     binary joins.  The input is compacted first (bags contained in a
-    neighbor are absorbed), which keeps the node count within 4|V|."""
-    if G.n == 0:
-        raise ValueError("nice decompositions need at least one vertex")
+    neighbor are absorbed), which keeps the node count within 4|V|.  The
+    empty graph's nice form has no nodes and no root."""
     ok, why = validate_decomposition(T, G)
     if not ok:
         raise ValueError(f"invalid tree decomposition: {why}")
+    if G.n == 0:
+        return NiceTreeDecomposition([], None)
     bags = [set(b) for b in T.bags]
     adj = [set(x) for x in T.neighbors()]
     alive = [True] * len(bags)
@@ -411,35 +414,32 @@ def _norm(u, v) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _removed(arcs) -> frozenset[Edge]:
-    return frozenset(_norm(a, b) for a, b in arcs)
+def _introduce_choices(index, v, bag_nbrs, pset):
+    """Every selection choice when v enters the bag, in the engine's fixed
+    order: v selects no edge or one bag edge, and any subset T of its
+    neighbors not in `pset` select their edge to v.  Each choice is (arcs
+    added, pset added, (v_arc, T), mask over `bag_nbrs` positions of the
+    removed edges at v).  `index` maps an edge to its G.sorted_edges()
+    position i: an arc is bit 2i when the lower endpoint selects the edge
+    and bit 2i + 1 when the higher one does."""
+    def arc(tail, head):
+        return 1 << (2 * index[_norm(tail, head)] + (tail > head))
 
-
-def _sigma_introduce(arcs, pset, v, bag_nbrs):
-    """All selection-state extensions when v enters the bag: v may select one
-    bag edge, and any subset of its still-unselected neighbors may select
-    their edge to v."""
-    minus = [u for u in bag_nbrs if u not in pset]
-    for v_arc in [None] + list(bag_nbrs):
-        for T in _subsets(minus):
-            new_arcs = set(arcs)
-            new_p = set(pset)
-            for u in T:
-                new_arcs.add((u, v))
-                new_p.add(u)
-            if v_arc is not None:
-                new_arcs.add((v, v_arc))
-                new_p.add(v)
-            yield tuple(sorted(new_arcs)), frozenset(new_p), (v_arc, tuple(T))
-
-
-def _join_pset(arcs, pa, pb):
-    """Combined selection status at a join, or None if both sides claim a
-    forgotten-edge selection for the same vertex."""
-    tails = {a for a, _ in arcs}
-    if (pa - tails) & (pb - tails):
-        return None
-    return pa | pb
+    free = [j for j, u in enumerate(bag_nbrs) if not pset >> u & 1]
+    subsets = []
+    for T in _subsets(free):
+        arcs = p = r = 0
+        for j in T:
+            arcs |= arc(bag_nbrs[j], v)
+            p |= 1 << bag_nbrs[j]
+            r |= 1 << j
+        subsets.append((arcs, p, tuple(bag_nbrs[j] for j in T), r))
+    choices = [(arcs, p, (None, T), r) for arcs, p, T, r in subsets]
+    for j, u in enumerate(bag_nbrs):
+        mine = arc(v, u)
+        choices += [(arcs | mine, p | 1 << v, (u, T), r | 1 << j)
+                    for arcs, p, T, r in subsets]
+    return choices
 
 
 def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
@@ -447,9 +447,18 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
     maps a row (arcs, pset, payload) to (value, provenance): the value the
     strategy finds better, and the child row it came from (with the
     `(v_arc, T)` choice at an introduce, both child rows at a join, None at
-    a leaf).  A strategy with a `dominates` test has each finished table
-    pruned before it is stored, so kept rows only point at kept child rows.
-    `trace`, when a list, collects one record per node: rows kept and pruned.
+    a leaf).  `arcs` is a bitmask over the selected arcs (see
+    `_introduce_choices`) and `pset` a vertex bitmask.  A strategy with a
+    `dominates` test has each finished table pruned before it is stored, so
+    kept rows only point at kept child rows.  `trace`, when a list, collects
+    one record per node: rows kept and pruned.
+
+    Every strategy transform runs once per distinct input at a node: an
+    introduce reads only the removed edges (and, for omega, the group's own
+    arcs), so it runs once per child (arcs, pset) group and distinct set of
+    removed edges at v; forget and join run once per distinct payload and
+    value.  An introduce writes its rows without comparing: v is new to the
+    bag, so distinct (child state, choice) pairs give distinct (arcs, pset).
     """
     nodes = list(nice.nodes)
     cur = nice.root
@@ -460,6 +469,24 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
         cur = len(nodes) - 1
     top = cur
     tables: dict[int, dict] = {}
+    edges = G.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    better = strategy.better
+    arc_states: dict[int, tuple] = {}  # arcs -> (removed edges, tail mask)
+
+    def arc_state(arcs):
+        got = arc_states.get(arcs)
+        if got is None:
+            removed, tails, rest = [], 0, arcs
+            while rest:
+                low = rest & -rest
+                bit = low.bit_length() - 1
+                edge = edges[bit >> 1]
+                removed.append(edge)
+                tails |= 1 << edge[bit & 1]
+                rest ^= low
+            got = arc_states[arcs] = (frozenset(removed), tails)
+        return got
 
     for node in _postorder(nodes, top):
         nd = nodes[node]
@@ -468,48 +495,78 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
 
         def put(key, value, p):
             old = tbl.get(key)
-            if old is None or strategy.better(value, old[0]):
+            if old is None or better(value, old[0]):
                 tbl[key] = (value, p)
 
         if nd.kind == "leaf":
             (v,) = nd.bag
             for pay, val in strategy.leaf(v):
-                put(((), frozenset(), pay), val, None)
+                put((0, 0, pay), val, None)
         elif nd.kind == "introduce":
             (c,) = nd.children
             bag_nbrs = sorted(u for u in G.adj[v] if u in nodes[c].bag)
+            nbr_mask = sum(1 << u for u in bag_nbrs)
             groups: dict[tuple, list] = {}
             for key, (val, _) in tables[c].items():
                 groups.setdefault(key[:2], []).append((key, val))
+            choices_of: dict[int, list] = {}
             for (arcs, pset), rows in groups.items():
-                for arcs2, pset2, choice in _sigma_introduce(arcs, pset, v, bag_nbrs):
-                    removed = _removed(arcs2)
-                    for key, val in rows:
-                        for pay2, val2 in strategy.introduce(v, bag_nbrs, removed, key[2], val):
-                            put((arcs2, pset2, pay2), val2, (key, choice))
+                spent = pset & nbr_mask
+                choices = choices_of.get(spent)
+                if choices is None:
+                    choices = choices_of[spent] = _introduce_choices(index, v, bag_nbrs, pset)
+                removed_before = arc_state(arcs)[0]
+                resolved: dict[int, dict] = {}  # removed edges at v -> rows
+                for add_arcs, add_p, choice, at_v in choices:
+                    out = resolved.get(at_v)
+                    if out is None:
+                        out = resolved[at_v] = {}
+                        removed = removed_before.union(
+                            _norm(u, v) for j, u in enumerate(bag_nbrs) if at_v >> j & 1)
+                        for key, val in rows:
+                            for pay2, val2 in strategy.introduce(v, bag_nbrs, removed,
+                                                                 key[2], val):
+                                old = out.get(pay2)
+                                if old is None or better(val2, old[0]):
+                                    out[pay2] = (val2, key)
+                    arcs2, pset2 = arcs | add_arcs, pset | add_p
+                    for pay2, (val2, key) in out.items():
+                        tbl[arcs2, pset2, pay2] = (val2, (key, choice))
         elif nd.kind == "forget":
             (c,) = nd.children
+            keep_p = ~(1 << v)
+            keep_arcs = ~sum(3 << 2 * index[_norm(u, v)] for u in G.adj[v])
+            moved: dict[tuple, tuple] = {}
             for key, (val, _) in tables[c].items():
-                arcs = tuple(arc for arc in key[0] if v not in arc)  # stays sorted
-                pay2, val2 = strategy.forget(v, key[2], val)
-                put((arcs, key[1] - {v}, pay2), val2, key)
+                arcs, pset, pay = key
+                got = moved.get((pay, val))
+                if got is None:
+                    got = moved[pay, val] = strategy.forget(v, pay, val)
+                put((arcs & keep_arcs, pset & keep_p, got[0]), got[1], key)
         else:  # join
             a, b = nd.children
+            join_key = strategy.join_key
             buckets: dict[tuple, list] = {}
             for key, (val, _) in tables[b].items():
-                buckets.setdefault((key[0], strategy.join_key(key[2])), []).append(
-                    (key, val))
+                buckets.setdefault((key[0], join_key(key[2])), []).append((key, val))
+            joined: dict[tuple, tuple | None] = {}
             for key, (val, _) in tables[a].items():
                 arcs, pset, pay = key
-                for key_b, valb in buckets.get((arcs, strategy.join_key(pay)), ()):
-                    combined = _join_pset(arcs, pset, key_b[1])
-                    if combined is None:
+                rows_b = buckets.get((arcs, join_key(pay)))
+                if not rows_b:
+                    continue
+                # a vertex selects once: a forgotten-edge selection on one side only
+                alone = pset & ~arc_state(arcs)[1]
+                for key_b, val_b in rows_b:
+                    if alone & key_b[1]:
                         continue
-                    res = strategy.join(pay, val, key_b[2], valb)
-                    if res is None:
-                        continue
-                    pay2, val2 = res
-                    put((arcs, combined, pay2), val2, (key, key_b))
+                    both = (pay, val, key_b[2], val_b)
+                    if both in joined:
+                        res = joined[both]
+                    else:
+                        res = joined[both] = strategy.join(pay, val, key_b[2], val_b)
+                    if res is not None:
+                        put((arcs, pset | key_b[1], res[0]), res[1], (key, key_b))
 
         dropped = _dominated_rows(tbl, strategy.dominates) if strategy.dominates else ()
         for key in dropped:
@@ -834,8 +891,6 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
     pruned) as JSON for debugging."""
     if which not in DP_PARAMETERS:
         raise ValueError(f"unknown dp parameter {which!r}")
-    if G.n == 0:
-        raise ValueError("empty graph")
     if nice.width > DP_WIDTH_CAP:
         raise CapExceeded(f"decomposition width {nice.width} exceeds dp cap {DP_WIDTH_CAP}")
     ok, why = nice.validate(G)
@@ -844,18 +899,21 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
     t0 = time.perf_counter()
     trace: list | None = [] if trace_file else None
     strategy = _STRATEGIES[which](G, nice.width)
-    tables, nodes, top = _run_dp(G, nice, strategy, trace)
-    key = value = None
-    for row, (val, _) in tables[top].items():
-        row_value = strategy.value(row[2], val)
-        if key is None or strategy.better(row_value, value):
-            key, value = row, row_value
-    removed, forgotten = _walk_provenance(tables, nodes, top, key)
+    if nice.nodes:
+        tables, nodes, top = _run_dp(G, nice, strategy, trace)
+        key = value = None
+        for row, (val, _) in tables[top].items():
+            row_value = strategy.value(row[2], val)
+            if key is None or strategy.better(row_value, value):
+                key, value = row, row_value
+        removed, forgotten = _walk_provenance(tables, nodes, top, key)
+    else:  # the empty graph: no tables, nothing removed, value 0
+        tables, nodes, removed, forgotten, value = {}, [], set(), {}, 0
     cert = {"removed_edges": [list(e) for e in sorted(removed)],
             **strategy.certificate(removed, forgotten, value)}
     result = ParameterResult(which[:-1], 1, value, cert)
     sizes = [len(tbl) for tbl in tables.values()]
-    result.stats = {"max_rows": max(sizes), "rows_total": sum(sizes),
+    result.stats = {"max_rows": max(sizes, default=0), "rows_total": sum(sizes),
                     "dp_nodes": len(nodes),
                     "elapsed_ms": (time.perf_counter() - t0) * 1000}
     if trace_file:

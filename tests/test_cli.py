@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from robusta import cycle, generate, maximal_outerplanar
+from robusta import Graph, cycle, generate, maximal_outerplanar
 from robusta.certify import validate_result
 from robusta.cli import _PARAM_ALIASES, build_parser, main
 
@@ -57,6 +57,16 @@ def test_compute_dp_engine():
                             "theta1", "--engine", "dp", "--no-timing"])
     assert code == 0
     assert report["results"][0]["value"] == 6
+
+
+@pytest.mark.parametrize("engine", ["exact", "oracle", "maximal", "dp"])
+def test_compute_empty_graph_every_engine(engine):
+    code, report = run_cli(["compute", "--gen", "empty:0", "--engine", engine,
+                            "--param", "chi1,omega1,alpha1,theta1", "--no-timing"])
+    assert code == 0, engine
+    for result in report["results"]:
+        assert result["value"] == 0
+        validate_result(Graph(0), result)
 
 
 @pytest.mark.parametrize("gen, G", [

@@ -7,7 +7,8 @@ the same nodes in the same order; these digests catch one that does not.
 Each digest is the sha256 of (value, certificate, stats.nodes), as sorted
 JSON, over a fixed list of seeded graphs.  A DP digest hashes the DP stats
 without `elapsed_ms` in place of `stats.nodes`; a DP table that breaks its
-ties in another row order changes its certificates.  To re-pin after a
+ties in another row order changes its certificates.  The `dp-large` keys
+hash the same over graphs whose tables are larger.  To re-pin after a
 deliberate change of search order, print `_digest(...)`,
 `_bench_shaped_digest(...)` or `_dp_digest(...)` for every key and say why
 in the change log.
@@ -19,9 +20,10 @@ import json
 import pytest
 
 from robusta import (Graph, complete, cycle, dp_robust, erdos_renyi,
-                     heuristic_decomposition, make_nice, oracle_robust,
-                     robust_parameter, robust_via_maximal)
+                     heuristic_decomposition, make_nice, maximal_outerplanar,
+                     oracle_robust, robust_parameter, robust_via_maximal)
 from robusta.exact import _complement_masks, _removed_masks
+from robusta.treewidth import _AlphaStrategy, _introduce_choices, _run_dp
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 EXACT_GRAPHS = [(n, p, seed) for n in (6, 7, 8, 9) for p, seed in ((0.4, n), (0.6, n + 10))]
@@ -30,12 +32,19 @@ ENUM_GRAPHS = [(n, p, seed) for n in (4, 5, 6) for p, seed in ((0.5, n), (0.7, n
 BENCH_SHAPED_GRAPHS = [(6, 8, seed) for seed in (1, 40, 80)] + [(7, 6, seed) for seed in (1, 40, 80)]
 # heuristic width <= 3 each, plus cycle(17), which is past the exact caps
 DP_GRAPHS = [(n, 2.6 / n, seed) for n in range(4, 11) for seed in (n, n + 10)]
+# larger tables: heuristic width 3 on 11-12 vertices, plus
+# maximal_outerplanar(30, 2) and a 60-vertex caterpillar
+DP_LARGE_GRAPHS = [(11, 0.3, 4), (11, 0.3, 11), (12, 0.3, 2), (12, 0.3, 6)]
 
 PINNED = {
     "dp:alpha1": "3991a912260bd888d218488fc2ad854c9b6b90390ef632f49c2d709f594d0c35",
     "dp:chi1": "83499f71efd59f69491beb446b0a98f03ce2e5c154b359d5e3223f524503e57b",
     "dp:omega1": "f3a6500b9e8d3108eb0757e089f7883b7fe08a1219bd493ae0a95eaf4d996d47",
     "dp:theta1": "c36960c823d33e2f12cf816164c1a5eb354ad76c6fcaedb9a12f52a8211a0b97",
+    "dp-large:alpha1": "7f6f03307182c003506c3dc2c18d46b0d9a1b7d8e106cfc22280f6f715138d3a",
+    "dp-large:chi1": "40327f3f1de7d9e7533811906b0306ee636d6ad6e8257184e667dd3028e449b5",
+    "dp-large:omega1": "f07f6c901cbec18cb4f3c195b16274d855dd3891a2e407c90b3c78f4d96472b9",
+    "dp-large:theta1": "e7253543520a6595f11658bfd25efc7555c5038f515c5cc704b57d672ee4741a",
     "exact:chi:1": "abeb28a250cb06e93e1fa52772afcb277c203d2d81121fecadce5946d65c6764",
     "exact:chi:2": "0b64b4154e25f009b54db67c5ad1452c60a653b653f3944b8e2404e8eb41d553",
     "exact:omega:1": "ceb12e61ba9a491688d1c1eac919ec143cb4b200475c2ff58554ce07430f9731",
@@ -104,9 +113,24 @@ def _bench_shaped(n, m, seed):
         seed += 1
 
 
-def _dp_digest(which):
+def caterpillar(n):
+    """A path on the even vertices with a pendant odd vertex on each."""
+    spine = list(range(0, n, 2))
+    edges = list(zip(spine, spine[1:]))
+    edges += [(leg - 1, leg) for leg in range(1, n, 2)]
+    return Graph(n, edges)
+
+
+def _dp_graphs(engine):
+    if engine == "dp":
+        return [erdos_renyi(*spec) for spec in DP_GRAPHS] + [cycle(17)]
+    return ([erdos_renyi(*spec) for spec in DP_LARGE_GRAPHS]
+            + [maximal_outerplanar(30, 2), caterpillar(60)])
+
+
+def _dp_digest(which, engine="dp"):
     h = hashlib.sha256()
-    for G in [erdos_renyi(*spec) for spec in DP_GRAPHS] + [cycle(17)]:
+    for G in _dp_graphs(engine):
         r = dp_robust(G, make_nice(heuristic_decomposition(G), G), which)
         stats = {k: v for k, v in r.stats.items() if k != "elapsed_ms"}
         h.update(json.dumps([r.value, r.certificate, stats], sort_keys=True).encode())
@@ -139,7 +163,10 @@ def _results_digest(engine, which, s, graphs):
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_search_digest_is_pinned(key):
     engine, which, *s = key.split(":")
-    got = _dp_digest(which) if engine == "dp" else _digest(engine, which, int(s[0]))
+    if engine.startswith("dp"):
+        got = _dp_digest(which, engine)
+    else:
+        got = _digest(engine, which, int(s[0]))
     assert got == PINNED[key]
 
 
@@ -159,3 +186,28 @@ def test_removed_and_complement_masks_match_graph():
             H = Graph(G.n, G.edges - F)
             assert masks == H.adjacency_masks()
             assert _complement_masks(G.n, masks) == H.complement().adjacency_masks()
+
+
+def test_introduce_rows_never_collide():
+    """An introduce writes its rows into the table without comparing them,
+    which is sound only because distinct (child state, choice) pairs give
+    distinct (arcs, pset).  Checked on every introduce node of the DP_GRAPHS
+    corpus over every child state: alpha1 keeps a row for each one."""
+    for spec in DP_GRAPHS:
+        G = erdos_renyi(*spec)
+        nice = make_nice(heuristic_decomposition(G), G)
+        tables, nodes, _ = _run_dp(G, nice, _AlphaStrategy(G, nice.width))
+        index = {e: i for i, e in enumerate(G.sorted_edges())}
+        for node, nd in enumerate(nodes):
+            if nd.kind != "introduce":
+                continue
+            (c,) = nd.children
+            v = nd.vertex
+            bag_nbrs = sorted(u for u in G.adj[v] if u in nodes[c].bag)
+            made = {}
+            for arcs, pset in {key[:2] for key in tables[c]}:
+                for add_arcs, add_p, choice, _ in _introduce_choices(index, v, bag_nbrs, pset):
+                    state = (arcs | add_arcs, pset | add_p)
+                    assert state not in made, (spec, node, made.get(state), choice)
+                    made[state] = ((arcs, pset), choice)
+            assert {key[:2] for key in tables[node]} == set(made), (spec, node)
