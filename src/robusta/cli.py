@@ -112,12 +112,13 @@ def _load_graph(args) -> tuple[Graph, dict]:
     raise CliError("a graph source is required (--gen or --input)")
 
 
-def _cap_value(path: str, key: str, text: str) -> int:
+def _number(what: str, text: str, convert=int):
+    """One numeric field of an option or spec; a CliError names the field."""
     try:
-        return int(text)
+        return convert(text)
     except ValueError:
-        raise CliError(f"[caps] {key} in {path}: expected an integer, "
-                       f"got {text!r}") from None
+        expected = "an integer" if convert is int else "a number"
+        raise CliError(f"{what}: expected {expected}, got {text!r}") from None
 
 
 def _load_caps(args) -> SolverCaps:
@@ -138,7 +139,8 @@ def _load_caps(args) -> SolverCaps:
                 raise CliError(f"unknown [caps] keys in {args.config}: "
                                f"{', '.join(unknown)}; known keys: "
                                f"{', '.join(sorted(known))}")
-            overrides = {k: _cap_value(args.config, k, v) for k, v in items}
+            overrides = {k: _number(f"[caps] {k} in {args.config}", v)
+                         for k, v in items}
             print(f"warning: overriding solver caps from {args.config}: "
                   f"{sorted(overrides)}", file=sys.stderr)
             caps = caps.override(**overrides)
@@ -180,15 +182,16 @@ def _result_dict(res) -> dict:
 # -- compute ------------------------------------------------------------------
 
 
-def _compute_one(G: Graph, base: str, s: int, engine: str, caps: SolverCaps):
+def _compute_one(G: Graph, base: str, s: int, engine: str, caps: SolverCaps,
+                 nice):
     """The one map from (engine, parameter, s) to a solver.  The tier
     functions are looked up in this module at call time, so rebinding
-    `cli.<name>` reaches them."""
+    `cli.<name>` reaches them.  `nice()` gives G's nice tree decomposition
+    for the dp engine."""
     if engine == "dp":
         if s != 1 or base not in ("chi", "omega", "alpha", "theta"):
             raise CliError("engine dp supports chi1, omega1, alpha1, theta1 only")
-        nice = make_nice(heuristic_decomposition(G), G)
-        return dp_robust(G, nice, base + "1")
+        return dp_robust(G, nice(), base + "1")
     if base == "iota":
         return iota(G, caps)
     if s == 0:
@@ -231,12 +234,14 @@ def cmd_compute(args) -> int:
     caps = _load_caps(args)
     G, desc = _load_graph(args)
     params = _parse_params(args.param, args.s)
+    # decomposed on the first dp token's call, then shared by the others
+    nice = functools.cache(lambda: make_nice(heuristic_decomposition(G), G))
     results = []
     for token, base, s in params:
         if args.engine == "poly-bounds":
             results.append(_poly_bounds(G, base, s))
             continue
-        res = _compute_one(G, base, s, args.engine, caps)
+        res = _compute_one(G, base, s, args.engine, caps, nice)
         certify.validate_result(G, _result_dict(res))
         entry = _result_dict(res)
         entry["requested_as"] = token
@@ -432,12 +437,20 @@ def _corpus_graphs(args):
         parts = argstr.split(",")
         if len(parts) != 3:
             raise CliError("corpus spec is random:count,n_max,p")
-        count, n_max, p = int(parts[0]), int(parts[1]), float(parts[2])
+        count = _number("corpus count", parts[0])
+        n_max = _number("corpus n_max", parts[1])
+        p = _number("corpus p", parts[2], float)
+        if count < 0:
+            raise CliError(f"corpus count must be non-negative, got {count}")
+        if n_max < 4:
+            raise CliError(f"corpus n_max must be at least 4, got {n_max}")
+        if not 0 <= p <= 1:
+            raise CliError(f"corpus p must lie in [0, 1], got {p}")
         if args.seed is None:
             raise CliError("corpus verification requires --seed")
         out = []
         for i in range(count):
-            n = 4 + (args.seed + i) % max(1, n_max - 3)
+            n = 4 + (args.seed + i) % (n_max - 3)
             out.append((f"random[{i}]", erdos_renyi(n, p, args.seed + i)))
         return out
     G, desc = _load_graph(args)
@@ -458,6 +471,8 @@ def cmd_verify(args) -> int:
             return classical_parameter(G, which, caps).value
         return robust_parameter(G, which, s, caps=caps).value
 
+    s_values = ([_number("--s-list", x) for x in args.s_list.split(",")]
+                if suite == "sandwich" else None)
     checks = []
     if suite == "union":
         for k in (2, 3, 4):
@@ -465,7 +480,7 @@ def cmd_verify(args) -> int:
     else:
         for label, G in _corpus_graphs(args):
             if suite == "sandwich":
-                rows = _sandwich_rows(G, [int(x) for x in args.s_list.split(",")], value)
+                rows = _sandwich_rows(G, s_values, value)
             elif suite == "operations":
                 rows = _operations_rows(G, args.seed or 0, value, caps)
             elif suite == "degree":
@@ -535,6 +550,8 @@ def cmd_hardness_demo(args) -> int:
 def cmd_explore(args) -> int:
     t0 = time.perf_counter()
     caps = _load_caps(args)
+    if args.n_max < 1:
+        raise CliError(f"--n-max must be at least 1, got {args.n_max}")
 
     def progress(n, stats):
         print(f"order {n}: {stats['classes']} classes, "
@@ -557,6 +574,8 @@ def cmd_random_experiment(args) -> int:
     if args.seed is None:
         raise CliError("random-experiment requires --seed")
     m, r, p, trials = args.m, args.r, args.p, args.trials
+    if trials < 0:
+        raise CliError(f"--trials must be non-negative, got {trials}")
     if m * r > caps.robust_chi_n:
         raise CliError(f"order {m * r} exceeds the exact cap {caps.robust_chi_n}")
     hits = 0

@@ -476,21 +476,26 @@ def _check_p(p: float) -> None:
 
 
 # kind -> (the parameters it expects, a trailing "..." meaning one or more;
-#          the builder; whether it takes a seed).  A parameter named p is a
-#          number, every other one an integer.
+#          the builder; whether it takes a seed; the order it builds, from
+#          the parameters).  A parameter named p is a number, every other
+#          one an integer.
 _GENERATORS = {
-    "complete": ("n", complete, False),
-    "cycle": ("n", cycle, False),
-    "path": ("n", path, False),
-    "star": ("m", star, False),
-    "empty": ("n", empty_graph, False),
-    "complete_multipartite": ("s1,s2,...", lambda *sizes: complete_multipartite(sizes), False),
-    "random_multipartite": ("m,r,p", random_multipartite, True),
-    "erdos_renyi": ("n,p", erdos_renyi, True),
-    "random_bipartite": ("a,b,p", random_bipartite, True),
-    "maximal_outerplanar": ("n", maximal_outerplanar, True),
-    "maximal_planar": ("n", maximal_planar, True),
+    "complete": ("n", complete, False, lambda n: n),
+    "cycle": ("n", cycle, False, lambda n: n),
+    "path": ("n", path, False, lambda n: n),
+    "star": ("m", star, False, lambda m: m + 1),
+    "empty": ("n", empty_graph, False, lambda n: n),
+    "complete_multipartite": ("s1,s2,...", lambda *sizes: complete_multipartite(sizes),
+                              False, lambda *sizes: sum(sizes)),
+    "random_multipartite": ("m,r,p", random_multipartite, True, lambda m, r, p: m * r),
+    "erdos_renyi": ("n,p", erdos_renyi, True, lambda n, p: n),
+    "random_bipartite": ("a,b,p", random_bipartite, True, lambda a, b, p: a + b),
+    "maximal_outerplanar": ("n", maximal_outerplanar, True, lambda n: n),
+    "maximal_planar": ("n", maximal_planar, True, lambda n: n),
 }
+# the kinds that visit every vertex pair, counted as C(order, 2)
+_PAIRWISE = {"complete", "complete_multipartite", "random_multipartite",
+             "erdos_renyi", "random_bipartite"}
 
 
 def _generator_arg(kind: str, name: str, value):
@@ -504,12 +509,14 @@ def _generator_arg(kind: str, name: str, value):
 
 def generate(kind: str, params: Sequence, seed: int | None = None) -> Graph:
     """Named generator dispatch; seeded kinds are deterministic in (params, seed).
-    A parameter count other than the kind expects, or a parameter that is not
-    a number, raises ValueError."""
+    A parameter count other than the kind expects, a parameter that is not a
+    number, an order above DEGENERACY_GADGET_ORDER_CAP, or a kind that visits
+    every vertex pair with more pairs than that, raises ValueError before
+    anything is built."""
     key = kind.replace("-", "_")
     if key not in _GENERATORS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    names, build, seeded = _GENERATORS[key]
+    names, build, seeded, order_of = _GENERATORS[key]
     params = list(params)
     if not params or (not names.endswith("...") and len(params) != names.count(",") + 1):
         raise ValueError(f"generator {kind!r} expects parameters {names}; "
@@ -517,6 +524,14 @@ def generate(kind: str, params: Sequence, seed: int | None = None) -> Graph:
     labels = ([f"s{i + 1}" for i in range(len(params))] if names.endswith("...")
               else names.split(","))
     args = [_generator_arg(kind, name, v) for name, v in zip(labels, params)]
+    order = order_of(*args)
+    if order > DEGENERACY_GADGET_ORDER_CAP:
+        raise ValueError(f"generator {kind!r}: order {order} above the limit "
+                         f"{DEGENERACY_GADGET_ORDER_CAP}")
+    pairs = order * (order - 1) // 2 if key in _PAIRWISE and order > 0 else 0
+    if pairs > DEGENERACY_GADGET_ORDER_CAP:
+        raise ValueError(f"generator {kind!r}: {pairs} vertex pairs above the "
+                         f"limit {DEGENERACY_GADGET_ORDER_CAP}")
     if seeded:
         if seed is None:
             raise ValueError("this generator needs an explicit seed")

@@ -18,7 +18,7 @@ better value per row, the provenance names the child row or rows it came
 from, and the answer is the best root row.  Parameter strategies:
 
 * alpha_1 maximizes jointly over selection and independent set; the
-  payload is the set's trace on the bag.
+  payload is the set's trace on the bag, a vertex mask.
 * omega_1 is a min over selections of the largest surviving clique.  The
   value is the largest clique of G - F met so far: a clique is met at an
   introduce of one of its vertices with the rest of it in the child bag
@@ -26,8 +26,10 @@ from, and the answer is the best root row.  Parameter strategies:
   or a leaf for a single vertex), where all its edges are already decided.
   Join takes the max of the two sides.
 * chi_1 is a min over selections and colorings.  The payload is the bag's
-  partition into color classes, the value the most classes any bag has
-  held; a vertex joins a class only if it has no surviving edge into it.
+  partition into color classes, vertex masks ordered by lowest vertex (for
+  disjoint classes, the order of sorted vertex tuples), the value the most
+  classes any bag has held; a vertex joins a class only if it has no
+  surviving edge into it.
   No row holds more than width // 2 + 1 classes: chi_1 <= floor(d/2) + 1
   by the degeneracy greedy and d <= width, so an optimal coloring never
   needs more.  The coloring is rebuilt top-down from each vertex's
@@ -36,8 +38,8 @@ from, and the answer is the best root row.  Parameter strategies:
   a bag with it and is forgotten higher up sits in that bag, so classes and
   colors stay one-to-one in every bag and at most `value` colors are used.
 * theta_1 is a max over selections of a minimum cover, so rows carry the
-  whole cost profile over flagged bag partitions (flag = class already
-  touches a forgotten vertex).  Every finished table is pruned by
+  whole cost profile over flagged bag partitions (class mask, flag = class
+  already touches a forgotten vertex).  Every finished table is pruned by
   dominance: of two rows with the same (arcs, pset), the one whose profile
   is pointwise <= the other's is dropped, reading a missing partition as
   cost +inf.  This is sound because the rows above depend on a row only
@@ -61,7 +63,7 @@ from .graph import Graph
 from .graphio import HEADER_COUNT_CAP, ParseError
 # classical_parameter is not called here; it stays bound because
 # perfbench/tracing.py wraps treewidth.classical_parameter by name.
-from .exact import (CapExceeded, ParameterResult, _classical_kernel,
+from .exact import (CapExceeded, ParameterResult, _bits, _classical_kernel,
                     _removed_masks, classical_parameter)
 from .selection import Edge
 
@@ -95,8 +97,7 @@ def heuristic_decomposition(G: Graph) -> TreeDecomposition:
         return TreeDecomposition([frozenset()], [])
     nbrs: list[set[int]] = [set(G.adj[v]) for v in range(n)]
     alive = set(range(n))
-    bags: list[frozenset[int]] = []
-    bag_of: dict[int, int] = {}
+    bags: list[frozenset[int]] = []  # bag i: the i-th eliminated vertex
     elim_order: list[int] = []
     while alive:
         best_v, best_key = -1, None
@@ -109,7 +110,6 @@ def heuristic_decomposition(G: Graph) -> TreeDecomposition:
                 best_v, best_key = v, key
         v = best_v
         live = sorted(nbrs[v] & alive)
-        bag_of[v] = len(bags)
         bags.append(frozenset([v] + live))
         elim_order.append(v)
         for a, b in itertools.combinations(live, 2):
@@ -118,32 +118,20 @@ def heuristic_decomposition(G: Graph) -> TreeDecomposition:
         alive.discard(v)
     pos = {v: i for i, v in enumerate(elim_order)}
     edges = []
-    for v in elim_order:
-        later = [w for w in bags[bag_of[v]] if w != v and pos[w] > pos[v]]
+    top = list(range(len(bags)))  # bag -> the parentless bag of its tree
+    for i in reversed(range(len(bags))):  # a parent bag comes later
+        later = [pos[w] for w in bags[i] if pos[w] > i]
         if later:
-            w = min(later, key=lambda w: pos[w])
-            edges.append((bag_of[v], bag_of[w]))
-    # chain together any disconnected roots (isolated vertices etc.)
-    adj = [[] for _ in bags]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen: set[int] = set()
-    roots = []
-    for i in range(len(bags)):
-        if i in seen:
-            continue
-        roots.append(i)
-        stack = [i]
-        seen.add(i)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
+            j = min(later)
+            edges.append((i, j))
+            top[i] = top[j]
+    edges.reverse()
+    # chain the trees (isolated vertices etc.) by their lowest bags
+    lowest: dict[int, int] = {}
+    for i, t in enumerate(top):
+        lowest.setdefault(t, i)
+    lows = list(lowest.values())
+    edges += zip(lows, lows[1:])
     return TreeDecomposition(bags, edges)
 
 
@@ -351,15 +339,6 @@ def make_nice(T: TreeDecomposition, G: Graph) -> NiceTreeDecomposition:
         nodes.append(NiceNode(kind, frozenset(bag), vertex, tuple(children)))
         return len(nodes) - 1
 
-    def leaf_chain(bag: set[int]) -> int:
-        vs = sorted(bag)
-        cur = add("leaf", {vs[0]})
-        have = {vs[0]}
-        for v in vs[1:]:
-            have.add(v)
-            cur = add("introduce", set(have), v, (cur,))
-        return cur
-
     def adapt(top: int, target: set[int]) -> int:
         cur = top
         have = set(nodes[top].bag)
@@ -385,8 +364,8 @@ def make_nice(T: TreeDecomposition, G: Graph) -> NiceTreeDecomposition:
     for x in reversed(order):
         kids = [built[y] for y in adj[x] if alive[y] and parent.get(y) == x]
         bag = bags[x]
-        if not kids:
-            built[x] = leaf_chain(bag)
+        if not kids:  # a singleton leaf, then its bag's other vertices
+            built[x] = adapt(add("leaf", {min(bag)}), bag)
             continue
         adapted = [adapt(kid, bag) for kid in kids]
         cur = adapted[0]
@@ -418,27 +397,25 @@ def _introduce_choices(index, v, bag_nbrs, pset):
     """Every selection choice when v enters the bag, in the engine's fixed
     order: v selects no edge or one bag edge, and any subset T of its
     neighbors not in `pset` select their edge to v.  Each choice is (arcs
-    added, pset added, (v_arc, T), mask over `bag_nbrs` positions of the
-    removed edges at v).  `index` maps an edge to its G.sorted_edges()
-    position i: an arc is bit 2i when the lower endpoint selects the edge
-    and bit 2i + 1 when the higher one does."""
+    added, pset added, (v_arc, T), vertex mask of the neighbors whose edge to
+    v it removes).  `index` maps an edge to its G.sorted_edges() position i:
+    an arc is bit 2i when the lower endpoint selects the edge and bit 2i + 1
+    when the higher one does."""
     def arc(tail, head):
         return 1 << (2 * index[_norm(tail, head)] + (tail > head))
 
-    free = [j for j, u in enumerate(bag_nbrs) if not pset >> u & 1]
     subsets = []
-    for T in _subsets(free):
-        arcs = p = r = 0
-        for j in T:
-            arcs |= arc(bag_nbrs[j], v)
-            p |= 1 << bag_nbrs[j]
-            r |= 1 << j
-        subsets.append((arcs, p, tuple(bag_nbrs[j] for j in T), r))
-    choices = [(arcs, p, (None, T), r) for arcs, p, T, r in subsets]
-    for j, u in enumerate(bag_nbrs):
+    for T in _subsets([u for u in bag_nbrs if not pset >> u & 1]):
+        arcs = p = 0
+        for u in T:
+            arcs |= arc(u, v)
+            p |= 1 << u
+        subsets.append((arcs, p, T))
+    choices = [(arcs, p, (None, T), p) for arcs, p, T in subsets]
+    for u in bag_nbrs:
         mine = arc(v, u)
-        choices += [(arcs | mine, p | 1 << v, (u, T), r | 1 << j)
-                    for arcs, p, T, r in subsets]
+        choices += [(arcs | mine, p | 1 << v, (u, T), p | 1 << u)
+                    for arcs, p, T in subsets]
     return choices
 
 
@@ -453,12 +430,14 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
     kept rows only point at kept child rows.  `trace`, when a list, collects
     one record per node: rows kept and pruned.
 
-    Every strategy transform runs once per distinct input at a node: an
-    introduce reads only the removed edges (and, for omega, the group's own
-    arcs), so it runs once per child (arcs, pset) group and distinct set of
-    removed edges at v; forget and join run once per distinct payload and
-    value.  An introduce writes its rows without comparing: v is new to the
-    bag, so distinct (child state, choice) pairs give distinct (arcs, pset).
+    Every strategy transform runs once per distinct input at a node.  The
+    introduce hook, `introduce(v, live, arcs, payload, value)`, reads only
+    `live`, the mask of v's bag neighbors whose edge to v survives (and, for
+    omega, the group's own arcs), so it runs once per child (arcs, pset)
+    group and distinct `live`; forget and join run once per distinct payload
+    and value.  An introduce writes its rows without comparing: v is new to
+    the bag, so distinct (child state, choice) pairs give distinct (arcs,
+    pset).
     """
     nodes = list(nice.nodes)
     cur = nice.root
@@ -472,20 +451,15 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
     edges = G.sorted_edges()
     index = {e: i for i, e in enumerate(edges)}
     better = strategy.better
-    arc_states: dict[int, tuple] = {}  # arcs -> (removed edges, tail mask)
+    tails_of: dict[int, int] = {}  # arcs -> vertex mask of the arc tails
 
-    def arc_state(arcs):
-        got = arc_states.get(arcs)
+    def tails(arcs):
+        got = tails_of.get(arcs)
         if got is None:
-            removed, tails, rest = [], 0, arcs
-            while rest:
-                low = rest & -rest
-                bit = low.bit_length() - 1
-                edge = edges[bit >> 1]
-                removed.append(edge)
-                tails |= 1 << edge[bit & 1]
-                rest ^= low
-            got = arc_states[arcs] = (frozenset(removed), tails)
+            got = 0
+            for bit in _bits(arcs):
+                got |= 1 << edges[bit >> 1][bit & 1]
+            tails_of[arcs] = got
         return got
 
     for node in _postorder(nodes, top):
@@ -515,17 +489,14 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
                 choices = choices_of.get(spent)
                 if choices is None:
                     choices = choices_of[spent] = _introduce_choices(index, v, bag_nbrs, pset)
-                removed_before = arc_state(arcs)[0]
-                resolved: dict[int, dict] = {}  # removed edges at v -> rows
-                for add_arcs, add_p, choice, at_v in choices:
-                    out = resolved.get(at_v)
+                resolved: dict[int, dict] = {}  # removed neighbors at v -> rows
+                for add_arcs, add_p, choice, cut in choices:
+                    out = resolved.get(cut)
                     if out is None:
-                        out = resolved[at_v] = {}
-                        removed = removed_before.union(
-                            _norm(u, v) for j, u in enumerate(bag_nbrs) if at_v >> j & 1)
+                        out = resolved[cut] = {}
+                        live = nbr_mask & ~cut
                         for key, val in rows:
-                            for pay2, val2 in strategy.introduce(v, bag_nbrs, removed,
-                                                                 key[2], val):
+                            for pay2, val2 in strategy.introduce(v, live, arcs, key[2], val):
                                 old = out.get(pay2)
                                 if old is None or better(val2, old[0]):
                                     out[pay2] = (val2, key)
@@ -556,7 +527,7 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
                 if not rows_b:
                     continue
                 # a vertex selects once: a forgotten-edge selection on one side only
-                alone = pset & ~arc_state(arcs)[1]
+                alone = pset & ~tails(arcs)
                 for key_b, val_b in rows_b:
                     if alone & key_b[1]:
                         continue
@@ -667,33 +638,39 @@ class _Strategy:
 
 
 class _AlphaStrategy(_Strategy):
-    """Largest independent set in the removed graph, cooperative max."""
+    """Largest independent set in the removed graph, cooperative max; the
+    payload is the set's trace on the bag, a vertex mask."""
 
     @staticmethod
     def leaf(v):
-        return [(frozenset(), 0), (frozenset({v}), 1)]
+        return [(0, 0), (1 << v, 1)]
 
     @staticmethod
-    def introduce(v, bag_nbrs, removed, S, val):
+    def introduce(v, live, arcs, S, val):
         yield S, val
-        if all(_norm(u, v) in removed for u in bag_nbrs if u in S):
-            yield S | {v}, val + 1
+        if not S & live:
+            yield S | 1 << v, val + 1
 
     @staticmethod
     def forget(v, S, val):
-        return S - {v}, val
+        return S & ~(1 << v), val
 
     @staticmethod
     def join(Sa, va, Sb, vb):
-        return Sa, va + vb - len(Sa)
+        return Sa, va + vb - Sa.bit_count()
 
     @staticmethod
     def certificate(removed, forgotten, value):
-        return {"independent_set": sorted(v for v, S in forgotten.items() if v in S)}
+        return {"independent_set": sorted(v for v, S in forgotten.items() if S >> v & 1)}
 
 
 class _OmegaStrategy(_Strategy):
     """Min over selections of the largest clique of the removed graph."""
+
+    def __init__(self, G: Graph, width: int):
+        super().__init__(G, width)
+        self.edges = G.sorted_edges()
+        self.masks = G.adjacency_masks()
 
     @staticmethod
     def better(new, old):
@@ -703,14 +680,15 @@ class _OmegaStrategy(_Strategy):
     def leaf(v):
         return [((), 1)]
 
-    def introduce(self, v, bag_nbrs, removed, pay, val):
-        live = [u for u in bag_nbrs if _norm(u, v) not in removed]
-        has_edge = self.G.has_edge
-        size = next(r for r in range(len(live), -1, -1)
-                    if any(all(has_edge(a, b) and _norm(a, b) not in removed
-                               for a, b in itertools.combinations(Q, 2))
-                           for Q in itertools.combinations(live, r)))
-        yield pay, max(val, size + 1)
+    def introduce(self, v, live, arcs, pay, val):
+        # the surviving edges among the live neighbors: G's, less the arcs
+        masks = {u: self.masks[u] & live for u in _bits(live)}
+        for bit in _bits(arcs):
+            a, b = self.edges[bit >> 1]
+            if a in masks and b in masks:
+                masks[a] &= ~(1 << b)
+                masks[b] &= ~(1 << a)
+        yield pay, max(val, _largest_clique(live, masks) + 1)
 
     @staticmethod
     def forget(v, pay, val):
@@ -724,9 +702,26 @@ class _OmegaStrategy(_Strategy):
         return _kernel_certificate(self.G, removed, "omega", value)
 
 
+def _largest_clique(cand: int, masks: dict) -> int:
+    """Size of the largest clique inside the vertex mask `cand`."""
+    if not cand:
+        return 0
+    low = cand & -cand
+    rest = cand ^ low
+    return max(1 + _largest_clique(rest & masks[low.bit_length() - 1], masks),
+               _largest_clique(rest, masks))
+
+
+def _by_lowest(classes) -> tuple:
+    """Disjoint class masks ordered by their lowest vertex: the order of the
+    classes as sorted vertex tuples."""
+    return tuple(sorted(classes, key=lambda cls: cls & -cls))
+
+
 class _ChiStrategy(_Strategy):
     """Min over selections and colorings of the most color classes any bag
-    holds; the payload is the bag's partition into classes."""
+    holds; the payload is the bag's partition into classes, a tuple of
+    vertex masks ordered by lowest vertex."""
 
     def __init__(self, G: Graph, width: int):
         super().__init__(G, width)
@@ -738,21 +733,20 @@ class _ChiStrategy(_Strategy):
 
     @staticmethod
     def leaf(v):
-        return [(((v,),), 1)]
+        return [((1 << v,), 1)]
 
-    def introduce(self, v, bag_nbrs, removed, classes, val):
-        live = {u for u in bag_nbrs if _norm(u, v) not in removed}
+    def introduce(self, v, live, arcs, classes, val):
+        bit = 1 << v
         if len(classes) < self.cap:
-            yield tuple(sorted(classes + ((v,),))), max(val, len(classes) + 1)
+            yield _by_lowest(classes + (bit,)), max(val, len(classes) + 1)
         for i, cls in enumerate(classes):
-            if live.isdisjoint(cls):
-                grown = tuple(sorted(cls + (v,)))
-                yield tuple(sorted(classes[:i] + (grown,) + classes[i + 1:])), val
+            if not cls & live:
+                yield _by_lowest(classes[:i] + (cls | bit,) + classes[i + 1:]), val
 
     @staticmethod
     def forget(v, classes, val):
-        rest = (tuple(u for u in cls if u != v) for cls in classes)
-        return tuple(sorted(cls for cls in rest if cls)), val
+        bit = 1 << v
+        return _by_lowest(cls & ~bit for cls in classes if cls != bit), val
 
     @staticmethod
     def join(pa, va, pb, vb):
@@ -761,19 +755,29 @@ class _ChiStrategy(_Strategy):
     def certificate(self, removed, forgotten, value):
         color: dict[int, int] = {}
         for v, classes in forgotten.items():
-            own = next(cls for cls in classes if v in cls)
-            mate = next((u for u in own if u != v), None)
-            if mate is not None:
-                color[v] = color[mate]
+            bit = 1 << v
+            own = next(cls for cls in classes if cls & bit)
+            mates = own ^ bit
+            if mates:
+                color[v] = color[(mates & -mates).bit_length() - 1]
             else:
-                held = {color[u] for cls in classes if cls is not own for u in cls}
+                held = {color[u] for cls in classes if cls != own for u in _bits(cls)}
                 color[v] = min(set(range(len(classes))) - held)
         return {"coloring": [color[v] for v in range(self.G.n)]}
 
 
+def _keep_cheapest(costs: dict, fp, cost: int) -> None:
+    """Record `cost` for flagged partition `fp` unless `costs` holds one no
+    higher."""
+    if costs.get(fp, cost + 1) > cost:
+        costs[fp] = cost
+
+
 class _ThetaStrategy(_Strategy):
     """Max over selections of the minimum clique cover; rows carry the whole
-    cover-cost profile over flagged bag partitions."""
+    cover-cost profile over flagged bag partitions.  A flagged partition is
+    a sorted tuple of (class mask, flag) pairs, a profile a sorted tuple of
+    (flagged partition, cost) pairs."""
 
     @staticmethod
     def dominates(pa, pb):
@@ -799,71 +803,49 @@ class _ThetaStrategy(_Strategy):
 
     @staticmethod
     def leaf(v):
-        profile = ((((v,), False),), 1)
-        return [((profile,), 0)]
+        fp = ((1 << v, False),)
+        return [(((fp, 1),), 0)]
 
-    def introduce(self, v, bag_nbrs, removed, pay, val):
-        nbrs = set(bag_nbrs)
+    @staticmethod
+    def introduce(v, live, arcs, pay, val):
+        bit = 1 << v
         out: dict[tuple, int] = {}
         for fp, cost in pay:
             # v as a fresh singleton class
-            fp_single = tuple(sorted(fp + (((v,), False),)))
-            if out.get(fp_single, 1 << 30) > cost + 1:
-                out[fp_single] = cost + 1
-            # attach v to a class with no forgotten vertices, staying a clique
-            # of the removed graph
+            _keep_cheapest(out, tuple(sorted(fp + ((bit, False),))), cost + 1)
+            # attach v to a class with no forgotten vertices whose every
+            # member keeps its edge to v, so it stays a clique
             for i, (cls, flag) in enumerate(fp):
-                if flag:
-                    continue
-                if all(u in nbrs and _norm(u, v) not in removed for u in cls):
-                    cls2 = tuple(sorted(cls + (v,)))
-                    fp2 = tuple(sorted(fp[:i] + ((cls2, False),) + fp[i + 1:]))
-                    if out.get(fp2, 1 << 30) > cost:
-                        out[fp2] = cost
+                if not flag and not cls & ~live:
+                    grown = fp[:i] + ((cls | bit, False),) + fp[i + 1:]
+                    _keep_cheapest(out, tuple(sorted(grown)), cost)
         if out:
             yield tuple(sorted(out.items())), 0
 
     @staticmethod
     def forget(v, pay, val):
+        bit = 1 << v
         out: dict[tuple, int] = {}
         for fp, cost in pay:
-            parts = []
-            for cls, flag in fp:
-                if v in cls:
-                    rest = tuple(u for u in cls if u != v)
-                    if rest:
-                        parts.append((rest, True))
-                    # else the class closes; it stays counted in cost
-                else:
-                    parts.append((cls, flag))
-            fp2 = tuple(sorted(parts))
-            if out.get(fp2, 1 << 30) > cost:
-                out[fp2] = cost
+            # v's class loses v and is flagged; a class of v alone closes
+            # and stays counted in cost
+            parts = [(cls & ~bit, True) if cls & bit else (cls, flag)
+                     for cls, flag in fp if cls != bit]
+            _keep_cheapest(out, tuple(sorted(parts)), cost)
         return tuple(sorted(out.items())), 0
 
     @staticmethod
     def join(pa, va, pb, vb):
         index: dict[tuple, list] = {}
         for fp, cost in pb:
-            key = tuple(cls for cls, _ in fp)
-            index.setdefault(key, []).append((fp, cost))
+            index.setdefault(tuple(cls for cls, _ in fp), []).append((fp, cost))
         out: dict[tuple, int] = {}
         for fp_a, cost_a in pa:
-            key = tuple(cls for cls, _ in fp_a)
-            for fp_b, cost_b in index.get(key, ()):
-                combined = []
-                ok = True
-                for (cls, fa), (_, fb) in zip(fp_a, fp_b):
-                    if fa and fb:
-                        ok = False
-                        break
-                    combined.append((cls, fa or fb))
-                if not ok:
+            for fp_b, cost_b in index.get(tuple(cls for cls, _ in fp_a), ()):
+                if any(fa and fb for (_, fa), (_, fb) in zip(fp_a, fp_b)):
                     continue
-                fp2 = tuple(combined)
-                cost = cost_a + cost_b - len(fp2)
-                if out.get(fp2, 1 << 30) > cost:
-                    out[fp2] = cost
+                fp2 = tuple((cls, fa or fb) for (cls, fa), (_, fb) in zip(fp_a, fp_b))
+                _keep_cheapest(out, fp2, cost_a + cost_b - len(fp2))
         if not out:
             return None
         return tuple(sorted(out.items())), 0

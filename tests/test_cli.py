@@ -84,6 +84,33 @@ def test_compute_dp_beyond_exact_caps(gen, G):
         validate_result(G, result)
 
 
+def test_compute_dp_decomposes_once(monkeypatch, tmp_path):
+    """A multi-token dp command decomposes the graph once and shares the
+    nice form; the report's bytes are those of one decomposition per token
+    (sha256 recorded when every token decomposed on its own)."""
+    import hashlib
+
+    from robusta import cli
+    calls = {"heuristic_decomposition": 0, "make_nice": 0}
+    for name in calls:
+        def counting(*args, _name=name, _orig=getattr(cli, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(cli, name, counting)
+    out = tmp_path / "report.json"
+    code, _ = run_cli(["compute", "--gen", "erdos-renyi:9,0.35", "--seed", "1",
+                       "--engine", "dp", "--param", "chi1,omega1,alpha1,theta1",
+                       "--no-timing", "--out", str(out)])
+    assert code == 0
+    assert calls == {"heuristic_decomposition": 1, "make_nice": 1}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "b96bbd4e29a788539667aeb5b02aa173fd0c2f5ffe2713fac3f1978433c14818"
+    # a token the dp engine rejects fails before anything is decomposed
+    code, _ = run_cli(["compute", "--gen", "cycle:5", "--param", "chi", "--s", "2",
+                       "--engine", "dp", "--no-timing"])
+    assert code == 3 and calls["heuristic_decomposition"] == 1
+
+
 def test_compute_poly_bounds():
     code, report = run_cli(["compute", "--gen", "erdos-renyi:30,0.1",
                             "--seed", "4", "--param", "chi1",
@@ -408,6 +435,35 @@ def test_non_numeric_value_names_its_field_exit3(tmp_path, capsys, argv, message
     code, report = run_cli(["compute", *argv, "--param", "chi", "--no-timing"])
     assert code == 3 and report is None
     assert f"error: {message.replace('CAPS', str(cfg))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["random-experiment", "--m", "2", "--r", "2", "--p", "0.5", "--trials", "-3",
+      "--seed", "1"], "--trials must be non-negative, got -3"),
+    (["explore", "--n-max", "-2"], "--n-max must be at least 1, got -2"),
+    (["verify", "--suite", "sandwich", "--corpus", "random:2,3,0.4", "--seed", "1"],
+     "corpus n_max must be at least 4, got 3"),
+    (["verify", "--suite", "sandwich", "--corpus", "random:-1,9,0.4", "--seed", "1"],
+     "corpus count must be non-negative, got -1"),
+    (["verify", "--suite", "sandwich", "--corpus", "random:3,9,1.5", "--seed", "1"],
+     "corpus p must lie in [0, 1], got 1.5"),
+    (["verify", "--suite", "sandwich", "--corpus", "random:x,9,0.4", "--seed", "1"],
+     "corpus count: expected an integer, got 'x'"),
+    (["verify", "--suite", "sandwich", "--corpus", "random:3,y,0.4", "--seed", "1"],
+     "corpus n_max: expected an integer, got 'y'"),
+    (["verify", "--suite", "sandwich", "--corpus", "random:3,9,abc", "--seed", "1"],
+     "corpus p: expected a number, got 'abc'"),
+    (["verify", "--suite", "sandwich", "--gen", "complete:4", "--s-list", "0,x"],
+     "--s-list: expected an integer, got 'x'"),
+    (["compute", "--gen", "complete:448", "--param", "chi"],
+     "generator 'complete': 100128 vertex pairs above the limit 100000"),
+], ids=["trials", "n-max", "corpus-n-max", "corpus-count", "corpus-p-range",
+        "corpus-count-integer", "corpus-n-max-integer", "corpus-p-number",
+        "s-list", "gen-order"])
+def test_bad_number_names_its_option_exit3(capsys, argv, message):
+    code, report = run_cli([*argv, "--no-timing"])
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_oracle_cap_error_names_the_edge_count(capsys):

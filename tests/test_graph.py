@@ -180,6 +180,28 @@ def test_generate_dispatch():
         generate("no_such_kind", [1])
 
 
+@pytest.mark.parametrize("kind, params, seed, message", [
+    ("complete", [448], None, "100128 vertex pairs above the limit 100000"),
+    ("complete-multipartite", [224, 224], None, "100128 vertex pairs above"),
+    ("erdos-renyi", [448, 0.0], 1, "100128 vertex pairs above"),
+    ("random-bipartite", [224, 224, 0.0], 1, "100128 vertex pairs above"),
+    ("random-multipartite", [224, 2, 0.0], 1, "100128 vertex pairs above"),
+    ("cycle", [100001], None, "order 100001 above the limit 100000"),
+    ("empty", [100001], None, "order 100001 above"),
+    ("star", [100000], None, "order 100001 above"),
+])
+def test_generate_rejects_specs_over_the_size_limit(kind, params, seed, message):
+    """Every spec here builds in under a second without the limit, so a
+    missing check fails the test rather than hanging it."""
+    with pytest.raises(ValueError, match=f"generator {kind!r}: {message}"):
+        generate(kind, params, seed)
+
+
+def test_generate_accepts_specs_at_the_size_limit():
+    assert generate("complete", [447]).m == 447 * 446 // 2
+    assert generate("empty", [100000]).n == 100000
+
+
 def test_vertex_partition_validation():
     VertexPartition(((0, 1), (2,))).validate(3)
     with pytest.raises(ValueError):

@@ -17,6 +17,15 @@ def test_orientation_examples():
     assert min_outdegree_orientation(Graph(3)).max_outdegree == 0
 
 
+def test_orientation_density_witness():
+    # K4 plus four isolated vertices: cap ceil(6 / 8) = 1 gets stuck on the
+    # K4, whose density ceil(6 / 4) = 2 forces the cap up and is the witness
+    G = Graph(8, complete(4).edges)
+    ori = min_outdegree_orientation(G)
+    assert ori.max_outdegree == 2
+    assert ori.witness == (0, 1, 2, 3)
+
+
 def test_orientation_optimal_with_witness_small():
     for seed in range(60):
         n = 3 + seed % 6

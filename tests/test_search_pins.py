@@ -8,10 +8,11 @@ Each digest is the sha256 of (value, certificate, stats.nodes), as sorted
 JSON, over a fixed list of seeded graphs.  A DP digest hashes the DP stats
 without `elapsed_ms` in place of `stats.nodes`; a DP table that breaks its
 ties in another row order changes its certificates.  The `dp-large` keys
-hash the same over graphs whose tables are larger.  To re-pin after a
-deliberate change of search order, print `_digest(...)`,
-`_bench_shaped_digest(...)` or `_dp_digest(...)` for every key and say why
-in the change log.
+hash the same over graphs whose tables are larger, and
+`DECOMPOSITION_PINNED` the nice decompositions the DP runs on.  To re-pin
+after a deliberate change of search order, print `_digest(...)`,
+`_bench_shaped_digest(...)`, `_dp_digest(...)` or `_decomposition_digest()`
+for every key and say why in the change log.
 """
 
 import hashlib
@@ -23,7 +24,8 @@ from robusta import (Graph, complete, cycle, dp_robust, erdos_renyi,
                      heuristic_decomposition, make_nice, maximal_outerplanar,
                      oracle_robust, robust_parameter, robust_via_maximal)
 from robusta.exact import _complement_masks, _removed_masks
-from robusta.treewidth import _AlphaStrategy, _introduce_choices, _run_dp
+from robusta.treewidth import (_AlphaStrategy, _ChiStrategy, _introduce_choices,
+                               _run_dp)
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 EXACT_GRAPHS = [(n, p, seed) for n in (6, 7, 8, 9) for p, seed in ((0.4, n), (0.6, n + 10))]
@@ -35,6 +37,10 @@ DP_GRAPHS = [(n, 2.6 / n, seed) for n in range(4, 11) for seed in (n, n + 10)]
 # larger tables: heuristic width 3 on 11-12 vertices, plus
 # maximal_outerplanar(30, 2) and a 60-vertex caterpillar
 DP_LARGE_GRAPHS = [(11, 0.3, 4), (11, 0.3, 11), (12, 0.3, 2), (12, 0.3, 6)]
+# sparse graphs with isolated vertices and several components, n = 0-13
+DECOMPOSITION_GRAPHS = [(n, p, seed) for n in range(14) for p in (0.1, 0.25)
+                        for seed in range(n, n + 80, 10)]
+DECOMPOSITION_PINNED = "332fbe635b58d9ffa02215fe08e3a86488cdcca5ab01ba9f72a0bf9acffe9c44"
 
 PINNED = {
     "dp:alpha1": "3991a912260bd888d218488fc2ad854c9b6b90390ef632f49c2d709f594d0c35",
@@ -138,6 +144,21 @@ def _dp_digest(which, engine="dp"):
     return h.hexdigest()
 
 
+def _decomposition_digest():
+    """sha256 over make_nice(heuristic_decomposition(G), G) for every graph
+    of DECOMPOSITION_GRAPHS: each node's kind, bag, vertex and children, in
+    node order, and the root."""
+    h = hashlib.sha256()
+    for spec in DECOMPOSITION_GRAPHS:
+        G = erdos_renyi(*spec)
+        nice = make_nice(heuristic_decomposition(G), G)
+        nodes = [[nd.kind, sorted(nd.bag), nd.vertex, list(nd.children)]
+                 for nd in nice.nodes]
+        h.update(json.dumps([nodes, nice.root]).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def _digest(engine, which, s):
     graphs = EXACT_GRAPHS if engine == "exact" else ENUM_GRAPHS
     return _results_digest(engine, which, s, [erdos_renyi(*spec) for spec in graphs])
@@ -176,6 +197,12 @@ def test_bench_shaped_digest_is_pinned(key):
     assert _bench_shaped_digest(engine, which, int(s)) == BENCH_SHAPED_PINNED[key]
 
 
+def test_decomposition_pipeline_is_pinned():
+    """The DP pins hash results, not decompositions; this one pins the nice
+    decompositions the DP runs on, node for node."""
+    assert _decomposition_digest() == DECOMPOSITION_PINNED
+
+
 def test_removed_and_complement_masks_match_graph():
     graphs = [Graph(0), Graph(1), complete(5), erdos_renyi(7, 0.5, 3),
               erdos_renyi(9, 0.7, 4)]
@@ -211,3 +238,26 @@ def test_introduce_rows_never_collide():
                     assert state not in made, (spec, node, made.get(state), choice)
                     made[state] = ((arcs, pset), choice)
             assert {key[:2] for key in tables[node]} == set(made), (spec, node)
+
+
+def test_chi_classes_ordered_by_lowest_vertex():
+    """chi1 payloads are class masks ordered by lowest vertex, the order the
+    classes had as sorted vertex tuples; the introduce hook grows them in
+    that order, so row order and tie breaks depend on it.  Checked on every
+    row of every table of the DP_GRAPHS corpus: the classes are disjoint,
+    cover the bag, and their lowest vertices increase."""
+    for spec in DP_GRAPHS:
+        G = erdos_renyi(*spec)
+        nice = make_nice(heuristic_decomposition(G), G)
+        tables, nodes, _ = _run_dp(G, nice, _ChiStrategy(G, nice.width))
+        for node, tbl in tables.items():
+            bag = sum(1 << v for v in nodes[node].bag)
+            for _, _, classes in tbl:
+                lows = [cls & -cls for cls in classes]
+                assert all(cls for cls in classes), (spec, node, classes)
+                assert lows == sorted(set(lows)), (spec, node, classes)
+                assert sum(cls.bit_count() for cls in classes) == bag.bit_count()
+                union = 0
+                for cls in classes:
+                    union |= cls
+                assert union == bag, (spec, node, classes)
