@@ -32,9 +32,10 @@ from .exact import (DEFAULT_CAPS, SolverCaps, classical_parameter,
                     iota, oracle_robust, robust_chromatic, robust_parameter,
                     robust_via_maximal)
 from .filters import explore_exact_conjecture
-from .graph import (Graph, blow_up, disjoint_union, erdos_renyi, generate,
-                    random_multipartite, union_graphs, walecki_cycles)
-from .graphio import ParseError, read_graph_file
+from .graph import (DEGENERACY_GADGET_ORDER_CAP, Graph, blow_up, disjoint_union,
+                    erdos_renyi, generate, random_multipartite, union_graphs,
+                    walecki_cycles)
+from .graphio import HEADER_COUNT_CAP, ParseError, read_graph_file
 from .poly import (degeneracy_greedy, degeneracy_order, edge_color_reduction,
                    max_degree_partition, quasi_unicyclic_edge_decomposition)
 from .treewidth import dp_robust, heuristic_decomposition, make_nice
@@ -429,6 +430,7 @@ _SUITES = ("sandwich", "operations", "union", "degree", "degeneracy", "edge-inde
 
 
 def _corpus_graphs(args):
+    """(label, graph) pairs, each drawn only when the one before is done."""
     if args.corpus:
         spec = args.corpus
         name, argstr = (spec.split(":", 1) + [""])[:2]
@@ -442,19 +444,24 @@ def _corpus_graphs(args):
         p = _number("corpus p", parts[2], float)
         if count < 0:
             raise CliError(f"corpus count must be non-negative, got {count}")
+        if count > HEADER_COUNT_CAP:
+            raise CliError(f"corpus count {count} above the limit {HEADER_COUNT_CAP}")
         if n_max < 4:
             raise CliError(f"corpus n_max must be at least 4, got {n_max}")
+        pairs = n_max * (n_max - 1) // 2  # generate() refuses such an erdos_renyi draw
+        if pairs > DEGENERACY_GADGET_ORDER_CAP:
+            raise CliError(f"corpus n_max {n_max}: {pairs} vertex pairs above the "
+                           f"limit {DEGENERACY_GADGET_ORDER_CAP}")
         if not 0 <= p <= 1:
             raise CliError(f"corpus p must lie in [0, 1], got {p}")
         if args.seed is None:
             raise CliError("corpus verification requires --seed")
-        out = []
         for i in range(count):
             n = 4 + (args.seed + i) % (n_max - 3)
-            out.append((f"random[{i}]", erdos_renyi(n, p, args.seed + i)))
-        return out
+            yield f"random[{i}]", erdos_renyi(n, p, args.seed + i)
+        return
     G, desc = _load_graph(args)
-    return [(json.dumps(desc, sort_keys=True), G)]
+    yield json.dumps(desc, sort_keys=True), G
 
 
 def cmd_verify(args) -> int:
@@ -510,8 +517,8 @@ def cmd_hardness_demo(args) -> int:
     t0 = time.perf_counter()
     caps = _load_caps(args)
     G, desc = _load_graph(args)
-    plus, sets = blow_up(G)
     chi_g = classical_parameter(G, "chi", caps).value
+    plus, sets = blow_up(G)
     notices = []
     if plus.n <= caps.chi_n:
         chi_plus = classical_parameter(plus, "chi", caps).value

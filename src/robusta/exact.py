@@ -41,7 +41,7 @@ from .poly import edge_coloring_upper
 # orient_with_cap is not called here; it stays bound because
 # perfbench/tracing.py wraps exact.orient_with_cap by name.
 from .selection import (Edge, RemovableSet, UnionFind, enumerate_removable_sets,
-                        orient_with_cap, selection_from_edge_set)
+                        maximal_extension, orient_with_cap, selection_from_edge_set)
 
 
 class CapExceeded(ValueError):
@@ -744,7 +744,7 @@ def _theta_robust(G: Graph, s: int):
     best_F: frozenset[Edge] = frozenset()
     best_val, best_cert, _ = _classical_kernel(n, G.adjacency_masks(), "theta")
     # greedy incumbent: a maximal removable set grown in edge order
-    greedy = _maximal_extension(G, s, frozenset())
+    greedy = maximal_extension(G, s)
     val, cert, _ = _classical_kernel(n, _removed_masks(G, greedy), "theta")
     if val > best_val:
         best_val, best_F, best_cert = val, greedy, cert
@@ -843,14 +843,12 @@ def _chi_prime_robust(G: Graph, s: int):
 
     # hunt for a maximal removable set whose removal is D*-edge-chromatic
     edges = G.sorted_edges()
-    degs = [G.degree(v) for v in range(n)]
+    rank = len(maximal_extension(G, s))
     found: dict | None = None
 
     def leaf_test(F: frozenset[Edge]):
         nonlocal nodes
         H = Graph(n, G.edges - F)
-        if H.max_degree() > dstar:
-            return None
         if H.m > dstar * (n // 2):
             return None
         coloring, extra = _edge_coloring_decision(H, dstar)
@@ -861,6 +859,7 @@ def _chi_prime_robust(G: Graph, s: int):
                 "edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}
 
     F = RemovableSet(n, s)
+    left = [0] * n  # per vertex, edges walked past and left in G - F
 
     def dfs(i: int):
         nonlocal found, nodes
@@ -868,26 +867,26 @@ def _chi_prime_robust(G: Graph, s: int):
             return
         nodes += 1
         # degree prune: every vertex must still be reducible to <= dstar
-        for x in range(n):
-            have = sum(1 for e in F.edges if x in e)
-            future = sum(1 for j in range(i, m) if x in edges[j])
-            if degs[x] - have - future > dstar:
-                return
+        if max(left) > dstar:
+            return
         if i == m:
-            chosen = frozenset(F.edges)
-            if any(e not in chosen and F.can_add(e) for e in edges):
-                return  # not maximal
-            found = leaf_test(chosen)
+            if len(F.edges) == rank:  # maximal
+                found = leaf_test(frozenset(F.edges))
             return
         if F.push(edges[i]):
             dfs(i + 1)
             F.pop()
+        u, v = edges[i]
+        left[u] += 1
+        left[v] += 1
         dfs(i + 1)
+        left[u] -= 1
+        left[v] -= 1
 
     dfs(0)
     if found is not None:
         return dstar, found, nodes
-    F = _maximal_extension(G, s, frozenset(F0))
+    F = maximal_extension(G, s, frozenset(F0))
     H = Graph(n, G.edges - F)
     coloring = edge_coloring_upper(H)
     used = len(set(coloring.values()))
@@ -898,17 +897,6 @@ def _chi_prime_robust(G: Graph, s: int):
                              f"{used} colours, more than D* + 1 = {dstar + 1}")
     return dstar + 1, {"removed_edges": [list(e) for e in sorted(F)],
                        "edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}, nodes
-
-
-def _maximal_extension(G: Graph, s: int, F: frozenset[Edge]) -> frozenset[Edge]:
-    """The removable set F grown greedily, in edge order, to a maximal one."""
-    grown = RemovableSet(G.n, s)
-    for e in sorted(F):
-        grown.push(e)
-    for e in G.sorted_edges():
-        if e not in F:
-            grown.push(e)
-    return frozenset(grown.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,19 @@ def selection_digraph(G: Graph, f: SSelection) -> list[tuple[int, int]]:
     return sorted(arcs)
 
 
+def maximal_extension(G: Graph, s: int, F: frozenset[Edge] = frozenset()) -> frozenset[Edge]:
+    """The removable set F grown greedily, in edge order, to a maximal one.
+    The removable sets are the independent sets of a matroid (a union of s
+    bicircular matroids), so every maximal one has this size, the rank."""
+    grown = RemovableSet(G.n, s)
+    for e in sorted(F):
+        grown.push(e)
+    for e in G.sorted_edges():
+        if e not in F:
+            grown.push(e)
+    return frozenset(grown.edges)
+
+
 DEFAULT_ENUM_ALL_EDGE_CAP = 20
 DEFAULT_ENUM_MAXIMAL_EDGE_CAP = 24
 
@@ -367,10 +380,11 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     """Stream the removable edge sets of G at budget s.
 
     mode 'all' yields every removable set exactly once; 'maximal' yields
-    exactly the inclusion-maximal ones.  The walk branches on each edge in
-    sorted order (take it if a RemovableSet accepts the push, then leave it),
-    so feasibility costs one incremental push per branch; the guard caps keep
-    the exponential walk at desk scale.
+    exactly the inclusion-maximal ones, the sets of rank size.  The walk
+    branches on each edge in sorted order (take it if a RemovableSet accepts
+    the push, then leave it), so feasibility costs one incremental push per
+    branch; in mode 'maximal' it drops a branch that cannot reach the rank.
+    The guard caps keep the exponential walk at desk scale.
     """
     if mode not in ("all", "maximal"):
         raise ValueError("mode must be 'all' or 'maximal'")
@@ -382,16 +396,14 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
         raise ValueError(f"graph has {G.m} edges, enumeration guard is {cap}")
     edges = G.sorted_edges()
     m = len(edges)
+    floor = len(maximal_extension(G, s)) if mode == "maximal" else 0
     F = RemovableSet(G.n, s)
 
     def dfs(i: int):
+        if len(F.edges) + (m - i) < floor:
+            return
         if i == m:
-            if mode == "all":
-                yield frozenset(F.edges)
-            else:
-                chosen = set(F.edges)
-                if all(e in chosen or not F.can_add(e) for e in edges):
-                    yield frozenset(chosen)
+            yield frozenset(F.edges)
             return
         if F.push(edges[i]):
             yield from dfs(i + 1)

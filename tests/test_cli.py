@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from robusta import Graph, cycle, generate, maximal_outerplanar
+from robusta import Graph, cycle, erdos_renyi, generate, maximal_outerplanar
 from robusta.certify import validate_result
 from robusta.cli import _PARAM_ALIASES, build_parser, main
 
@@ -464,6 +464,46 @@ def test_bad_number_names_its_option_exit3(capsys, argv, message):
     code, report = run_cli([*argv, "--no-timing"])
     assert code == 3 and report is None
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _refuse(*args, **kw):
+    raise AssertionError("called before the input was checked")
+
+
+@pytest.mark.parametrize("corpus, message", [
+    ("random:100001,9,0.4", "corpus count 100001 above the limit 100000"),
+    ("random:1,448,0.5", "corpus n_max 448: 100128 vertex pairs above the limit 100000"),
+], ids=["count", "n-max"])
+def test_verify_corpus_bounds_checked_before_drawing(monkeypatch, capsys, corpus, message):
+    monkeypatch.setattr("robusta.cli.erdos_renyi", _refuse)
+    code, report = run_cli(["verify", "--suite", "sandwich", "--corpus", corpus,
+                            "--seed", "1", "--no-timing"])
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_corpus_draws_each_graph_after_the_one_before(monkeypatch, capsys):
+    """The first graph (447 vertices) is over the chi_n cap, so the run
+    stops before it draws the other two."""
+    drawn = []
+
+    def draw(n, p, seed):
+        drawn.append(n)
+        return erdos_renyi(n, p, seed)
+
+    monkeypatch.setattr("robusta.cli.erdos_renyi", draw)
+    code, report = run_cli(["verify", "--suite", "sandwich", "--corpus",
+                            "random:3,447,0.5", "--seed", "443", "--no-timing"])
+    assert code == 3 and report is None and drawn == [447]
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_hardness_demo_cap_checked_before_blow_up(monkeypatch, capsys):
+    """chi(G) hits the chi_n cap (16) before the order-306 blow-up is built."""
+    monkeypatch.setattr("robusta.cli.blow_up", _refuse)
+    code, report = run_cli(["hardness-demo", "--gen", "complete:17", "--no-timing"])
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == "error: chi: vertex count 17 exceeds cap 16\n"
 
 
 def test_oracle_cap_error_names_the_edge_count(capsys):

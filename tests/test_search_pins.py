@@ -119,6 +119,16 @@ def _bench_shaped(n, m, seed):
         seed += 1
 
 
+# chi'_s walks of 5,000-20,000 nodes, deeper than EXACT_GRAPHS reaches
+# (at most 4,608 nodes at s = 1 and 140 at s = 2), per budget s
+DEEP_CHI_PRIME_GRAPHS = {1: [(9, 0.5, 2), (10, 0.5, 2), (10, 0.5, 3)],
+                         2: [(9, 0.5, 1), (10, 0.5, 1)]}
+DEEP_CHI_PRIME_PINNED = {
+    1: "e40d70d51fc39a155eb1f1f2630c6c71fea3fef47ae47e5d79f422fb23214a2e",
+    2: "f0c4eb461c2520e3b663d0ebdbeaf4b30e5340797c6cebfca4360c73965e4718",
+}
+
+
 def caterpillar(n):
     """A path on the even vertices with a pendant odd vertex on each."""
     spine = list(range(0, n, 2))
@@ -195,6 +205,14 @@ def test_search_digest_is_pinned(key):
 def test_bench_shaped_digest_is_pinned(key):
     engine, which, s = key.split(":")
     assert _bench_shaped_digest(engine, which, int(s)) == BENCH_SHAPED_PINNED[key]
+
+
+@pytest.mark.parametrize("s", sorted(DEEP_CHI_PRIME_PINNED))
+def test_deep_chi_prime_walks_are_pinned(s):
+    """Phase 2 of chi'_s on walks large enough that its degree prune and
+    maximality test decide most nodes."""
+    graphs = [erdos_renyi(*spec) for spec in DEEP_CHI_PRIME_GRAPHS[s]]
+    assert _results_digest("exact", "chi_prime", s, graphs) == DEEP_CHI_PRIME_PINNED[s]
 
 
 def test_decomposition_pipeline_is_pinned():

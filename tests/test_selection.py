@@ -9,7 +9,7 @@ from robusta import (Graph, SSelection, apply_selection, complete, cycle,
                      selection_digraph, selection_from_edge_set)
 from robusta.exact import canonical_form
 from robusta.graph import star
-from robusta.selection import RemovableSet
+from robusta.selection import RemovableSet, maximal_extension
 
 
 def test_quasi_unicyclic_basics():
@@ -233,6 +233,26 @@ def test_enumerate_maximal_k4_against_filter():
         sub = Graph(4, F)
         comps = sub.components()
         assert is_quasi_unicyclic(sub)
+
+
+def test_enumerate_maximal_is_all_filtered_to_unextendable_sets():
+    """Mode 'maximal' yields, in the same order, exactly the sets of mode
+    'all' that no edge extends, and each has the rank's size."""
+    graphs = [erdos_renyi(n, p, seed) for n in (4, 5, 6, 7) for p in (0.4, 0.7)
+              for seed in range(3)]
+    graphs = [G for G in graphs if G.m <= 12]
+    assert len(graphs) >= 20 and max(G.m for G in graphs) >= 10
+    for G in graphs:
+        edges = G.sorted_edges()
+        for s in range(4):
+            every = list(enumerate_removable_sets(G, s, "all"))
+            feasible = set(every)
+            expected = [F for F in every
+                        if not any(F | {e} in feasible for e in edges if e not in F)]
+            got = list(enumerate_removable_sets(G, s, "maximal"))
+            assert got == expected, (G.sorted_edges(), s)
+            rank = len(maximal_extension(G, s))
+            assert all(len(F) == rank for F in got), (G.sorted_edges(), s)
 
 
 def test_enumerate_guard():

@@ -48,12 +48,14 @@ def test_src_imports_only_stdlib():
      "--param", "chi,omega,alpha,theta,chiprime", "--s", "1"],
     ["--gen", "erdos_renyi:6,0.5", "--seed", "7",
      "--param", "chi,omega,alpha,theta,chiprime", "--s", "2", "--engine", "oracle"],
+    ["--gen", "erdos_renyi:6,0.5", "--seed", "7",
+     "--param", "chi,omega,alpha,theta,chiprime", "--s", "2", "--engine", "maximal"],
     ["--gen", "erdos_renyi:9,0.35", "--seed", "4",
      "--param", "chi1,omega1,alpha1,theta1", "--engine", "dp"],
-], ids=["exact-s1", "oracle-s2", "dp"])
+], ids=["exact-s1", "oracle-s2", "maximal-s2", "dp"])
 def test_optimized_mode_report_is_identical(args):
     """`python -O` runs the same code minus `assert`: the report bytes of the
-    exact and oracle tiers and the treewidth DP must not change."""
+    exact, oracle and maximal tiers and the treewidth DP must not change."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)

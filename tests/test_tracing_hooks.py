@@ -51,6 +51,7 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     assert tracer.calls["exact.theta.s2"] == 1
     assert tracer.calls["treewidth.dp.alpha1"] == 1
     assert tracer.calls["selection.enumerate.all"] > 0
+    assert tracer.calls["selection.enumerate.maximal"] > 0
     for name, original in before.items():
         assert getattr(robusta.exact, name) is original
 
