@@ -20,7 +20,12 @@ class CertificateError(ValueError):
 
 
 def _check_removed(G: Graph, cert: dict, s: int) -> frozenset:
+    if type(s) is not int or s < 0:
+        raise CertificateError(f"budget {s!r} is not a non-negative integer")
     F = frozenset(tuple(sorted(e)) for e in cert.get("removed_edges", []))
+    for e in F:
+        if e not in G.edges:
+            raise CertificateError(f"removed pair {list(e)} is not an edge of the graph")
     if s == 0:
         if F:
             raise CertificateError("classical certificate removes edges")
@@ -177,7 +182,7 @@ def _main(argv) -> int:
         except CertificateError as exc:
             print(f"error: result {i} ({r['parameter']}): {exc}", file=sys.stderr)
             return 2
-        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
             print(f"error: result {i} ({r['parameter']}): malformed "
                   f"certificate: {exc!r}", file=sys.stderr)
             return 2

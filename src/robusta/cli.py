@@ -28,7 +28,7 @@ import sys
 import time
 
 from . import certify
-from .exact import (DEFAULT_CAPS, SolverCaps, classical_parameter,
+from .exact import (DEFAULT_CAPS, ROBUST, SolverCaps, classical_parameter,
                     iota, oracle_robust, robust_chromatic, robust_parameter,
                     robust_via_maximal)
 from .filters import explore_exact_conjecture
@@ -61,8 +61,6 @@ _PARAM_ALIASES = {
     "chiprime1": ("chi_prime", 1),
 }
 
-_ROBUST = {"chi", "omega", "alpha", "theta", "chi_prime"}
-
 
 def _parse_params(spec: str, default_s: int):
     out = []
@@ -72,7 +70,7 @@ def _parse_params(spec: str, default_s: int):
             raise CliError(f"unknown parameter {token!r}")
         base, forced_s = _PARAM_ALIASES[token]
         s = forced_s if forced_s is not None else default_s
-        if base not in _ROBUST:
+        if base not in ROBUST:
             s = 0
         out.append((token, base, s))
     return out

@@ -32,7 +32,6 @@ Strategy notes for the robust (selection-adversarial) parameters:
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -521,36 +520,39 @@ def _alpha_robust(G: Graph, s: int):
                      "independent_set": vs}, nodes
 
 
-def _cliques_of_size(G: Graph, size: int) -> list[tuple[int, ...]]:
-    masks = G.adjacency_masks()
-    out: list[tuple[int, ...]] = []
+def _edge_bits(G: Graph) -> list[dict[int, int]]:
+    """bits[u][v] == bits[v][u] is 1 << i for the edge uv, i its index in
+    G.sorted_edges(); each row lists its neighbours in increasing order."""
+    bits: list[dict[int, int]] = [{} for _ in range(G.n)]
+    for i, (u, v) in enumerate(G.sorted_edges()):
+        bits[u][v] = bits[v][u] = 1 << i
+    return bits
 
-    def extend(partial: list[int], cand: int, start: int):
-        if len(partial) == size:
-            out.append(tuple(partial))
+
+def _cliques_of_size(G: Graph, size: int, bits: list[dict[int, int]]) -> list[int]:
+    """Edge masks of the `size`-cliques of G, in lexicographic order of
+    their vertex lists; each mask grows with its clique."""
+    adj = G.adjacency_masks()
+    out: list[int] = []
+
+    def extend(clique: int, emask: int, cand: int):
+        if clique.bit_count() == size:
+            out.append(emask)
             return
         for v in _bits(cand):
-            if v < start:
-                continue
-            extend(partial + [v], cand & masks[v], v + 1)
+            row = bits[v]
+            add = 0
+            for u in _bits(clique):
+                add |= row[u]
+            extend(clique | 1 << v, emask | add, cand & adj[v] & ~((2 << v) - 1))
 
-    extend([], (1 << G.n) - 1, 0)
+    extend(0, 0, (1 << G.n) - 1)
     return out
 
 
-def _edge_ids(G: Graph) -> tuple[list[Edge], dict[Edge, int]]:
-    edges = G.sorted_edges()
-    return edges, {e: i for i, e in enumerate(edges)}
-
-
-class _HitCounter:
-    def __init__(self):
-        self.nodes = 0
-
-
-def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
-                     counter: _HitCounter):
-    """A removable set (edge list) meeting every target edge-mask, or None.
+def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
+    """(F, nodes): a removable set (edge list) meeting every target
+    edge-mask, or None, and the search nodes visited.
 
     Branch and bound on the target with the fewest addable edges, with a
     visited-set over partial removals, a coverage-counting prune and a
@@ -560,9 +562,9 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
     n, m = G.n, len(edges)
     budget = s * n
     if not target_masks:
-        return []
+        return [], 0
     if any(mask == 0 for mask in target_masks):
-        return None
+        return None, 0
     per_edge = [0] * m  # targets containing each edge, as index masks
     for qi, mask in enumerate(target_masks):
         for ei in _bits(mask):
@@ -573,9 +575,11 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
     visited: set[int] = set()
     F = RemovableSet(n, s)
     scan_cap = 128  # prunes stay sound when scans stop early
+    nodes = 0
 
     def rec(fmask: int, unhit: int):
-        counter.nodes += 1
+        nonlocal nodes
+        nodes += 1
         if unhit == 0:
             return list(F.edges)
         if len(F.edges) >= budget:
@@ -584,19 +588,17 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
             return None
         visited.add(fmask)
         addset = 0
-        addable = []
         for ei in range(m):
             if not (fmask >> ei) & 1 and F.can_add(edges[ei]):
                 addset |= 1 << ei
-                addable.append(ei)
-        if not addable:
+        if not addset:
             return None
         left = budget - len(F.edges)
         n_unhit = unhit.bit_count()
         if n_unhit > left * max_static:
             return None
         if n_unhit <= scan_cap:
-            maxcov = max((per_edge[ei] & unhit).bit_count() for ei in addable)
+            maxcov = max((per_edge[ei] & unhit).bit_count() for ei in _bits(addset))
             if maxcov == 0 or n_unhit > left * maxcov:
                 return None
         # greedy edge-disjoint packing: disjoint unhit targets need
@@ -642,51 +644,35 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int],
                 return res
         return None
 
-    return rec(0, all_q)
+    return rec(0, all_q), nodes
 
 
 def _omega_robust(G: Graph, s: int):
-    if G.n == 0:
-        return 0, {"removed_edges": [], "clique": []}, 0
-    base = classical_parameter(G, "omega")
-    omega0 = base.value
-    edges, eid = _edge_ids(G)
+    """Ascend v until some removable set meets every (v+1)-clique."""
     n, m = G.n, G.m
+    if n == 0:
+        return 0, {"removed_edges": [], "clique": []}, 0
+    omega0 = len(_max_clique(n, G.adjacency_masks())[0])
+    bits = _edge_bits(G)
     budget = s * n
-    counter = _HitCounter()
-
-    def decision(v):
-        """A removable set meeting every (v+1)-clique, or None."""
-        if v >= omega0:
-            return []
+    nodes = 0
+    for v in range(1, omega0):
         # density: any removed graph keeps >= m - budget edges; above the
         # Turan threshold a (v+1)-clique is unavoidable
-        if v >= 1 and (m - budget) > (1 - 1 / v) * n * n / 2:
-            return None
-        cliques = _cliques_of_size(G, v + 1)
-        if not cliques:
-            return []
-        cmask = []
-        for Q in cliques:
-            mask = 0
-            for a, b in itertools.combinations(Q, 2):
-                mask |= 1 << eid[(a, b)]
-            cmask.append(mask)
-        return _hit_all_targets(G, s, cmask, counter)
-
-    for v in range(1, omega0 + 1):
-        F = decision(v)
+        if (m - budget) > (1 - 1 / v) * n * n / 2:
+            continue
+        F, found = _hit_all_targets(G, s, _cliques_of_size(G, v + 1, bits))
+        nodes += found
         if F is not None:
-            clique, extra = _max_clique(n, _removed_masks(G, F))
-            counter.nodes += extra
-            if not clique and n:
-                clique = [0]
-            return v, {"removed_edges": [list(e) for e in sorted(F)],
-                       "clique": clique}, counter.nodes
-    raise AssertionError("decision at v = omega must succeed")
+            break
+    else:
+        v, F = omega0, []
+    clique, extra = _max_clique(n, _removed_masks(G, F))
+    return v, {"removed_edges": [list(e) for e in sorted(F)],
+               "clique": clique}, nodes + extra
 
 
-def _clique_partition_targets(G: Graph, B: int, eid: dict[Edge, int]) -> list[int]:
+def _clique_partition_targets(G: Graph, B: int, bits: list[dict[int, int]]) -> list[int]:
     """Edge masks of the intra-class edges of every partition of V into
     exactly B cliques of G, reduced to the inclusion-minimal masks.
 
@@ -697,8 +683,7 @@ def _clique_partition_targets(G: Graph, B: int, eid: dict[Edge, int]) -> list[in
     n = G.n
     adj = G.adjacency_masks()
     masks: set[int] = set()
-    classes: list[list[int]] = []
-    class_masks: list[int] = []  # vertex mask of each class
+    classes: list[int] = []  # vertex mask of each class
 
     def rec(v: int, mask: int):
         if len(classes) > B or len(classes) + (n - v) < B:
@@ -707,23 +692,22 @@ def _clique_partition_targets(G: Graph, B: int, eid: dict[Edge, int]) -> list[in
             if len(classes) == B:
                 masks.add(mask)
             return
+        row = bits[v]
         for i, cls in enumerate(classes):
-            if class_masks[i] & adj[v] == class_masks[i]:
+            if cls & adj[v] == cls:
                 add = 0
-                for u in cls:
-                    add |= 1 << eid[(u, v)]
-                cls.append(v)
-                class_masks[i] |= 1 << v
+                for u in _bits(cls):
+                    add |= row[u]
+                classes[i] = cls | 1 << v
                 rec(v + 1, mask | add)
-                class_masks[i] ^= 1 << v
-                cls.pop()
-        classes.append([v])
-        class_masks.append(1 << v)
+                classes[i] = cls
+        classes.append(1 << v)
         rec(v + 1, mask)
-        class_masks.pop()
         classes.pop()
 
     rec(0, 0)
+    # sorted() keeps set order on ties, so the targets' order depends on
+    # the order the masks were added in
     kept: list[int] = []
     for mask in sorted(masks, key=int.bit_count):
         if not any(km & mask == km for km in kept):
@@ -738,8 +722,8 @@ def _theta_robust(G: Graph, s: int):
     n = G.n
     if n == 0:
         return 0, {"removed_edges": [], "clique_cover": []}, 0
-    _, eid = _edge_ids(G)
-    counter = _HitCounter()
+    bits = _edge_bits(G)
+    nodes = 0
 
     best_F: frozenset[Edge] = frozenset()
     best_val, best_cert, _ = _classical_kernel(n, G.adjacency_masks(), "theta")
@@ -750,8 +734,8 @@ def _theta_robust(G: Graph, s: int):
         best_val, best_F, best_cert = val, greedy, cert
 
     while best_val < n:
-        targets = _clique_partition_targets(G, best_val, eid)
-        hit = _hit_all_targets(G, s, targets, counter)
+        hit, found = _hit_all_targets(G, s, _clique_partition_targets(G, best_val, bits))
+        nodes += found
         if hit is None:
             break
         F = frozenset(hit)
@@ -763,7 +747,7 @@ def _theta_robust(G: Graph, s: int):
                                  f"theta {val}, not above {best_val}")
         best_val, best_F, best_cert = val, F, cert
     return best_val, {"removed_edges": [list(e) for e in sorted(best_F)],
-                      "clique_cover": best_cert["clique_cover"]}, counter.nodes
+                      "clique_cover": best_cert["clique_cover"]}, nodes
 
 
 def _min_max_degree(G: Graph, s: int):
@@ -776,12 +760,12 @@ def _min_max_degree(G: Graph, s: int):
     lo = max(0, min(degs) - 2 * s)
     if m > budget:
         lo = max(lo, -(-(2 * (m - budget)) // n))
-    _, eid = _edge_ids(G)
+    bits = _edge_bits(G)
     nodes = 0
 
     def decision(v):
         nonlocal nodes
-        visited: set[int] = set()  # edge-id masks of the sets F tried
+        visited: set[int] = set()  # edge-bit masks of the sets F tried
         F = RemovableSet(n, s)
         residual = degs[:]  # degrees of G - F
 
@@ -800,17 +784,17 @@ def _min_max_degree(G: Graph, s: int):
             over.sort(reverse=True)
             _, x = over[0]
             cand = []
-            for w in G.adj[x]:
+            for w, b in bits[x].items():
                 e = (x, w) if x < w else (w, x)
-                if not (fmask >> eid[e]) & 1 and F.can_add(e):
-                    cand.append(e)
+                if not fmask & b and F.can_add(e):
+                    cand.append((e, b))
             if len(cand) < residual[x] - v:
                 return None
-            for e in cand:
+            for e, b in cand:
                 F.push(e)
                 residual[e[0]] -= 1
                 residual[e[1]] -= 1
-                res = rec(fmask | (1 << eid[e]))
+                res = rec(fmask | b)
                 residual[e[0]] += 1
                 residual[e[1]] += 1
                 F.pop()

@@ -246,25 +246,24 @@ class RemovableSet:
             raise ValueError("budget must be non-negative")
         self.edges: list[Edge] = []
         self._uf = UnionFind(n) if s == 1 else None
-        self._marks: list[int] = []
         self._orientation = _Orientation(n, s) if s >= 2 else None
 
     def push(self, e: Edge) -> bool:
         uf = self._uf
         if uf is not None:
-            mark = uf.checkpoint()
-            if not uf.add_edge(*e):
-                uf.rollback(mark)
+            # only an accepted edge is written: one trail entry per push
+            if not self.can_add(e):
                 return False
-            self._marks.append(mark)
+            uf.add_edge(*e)
         elif self._orientation is None or not self._orientation.push(*e):
             return False
         self.edges.append(e)
         return True
 
     def pop(self) -> Edge:
-        if self._uf is not None:
-            self._uf.rollback(self._marks.pop())
+        uf = self._uf
+        if uf is not None:
+            uf.rollback(len(uf.trail) - 1)
         else:
             self._orientation.pop()
         return self.edges.pop()

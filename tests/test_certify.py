@@ -1,14 +1,23 @@
 """Every check of certify.validate_result fires on a certificate corrupted
 for it: valid results of the solvers are changed in one place each."""
 
+import contextlib
 import copy
+import functools
+import io
 import itertools
+import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from robusta import Graph, robust_parameter
-from robusta.certify import CertificateError, validate_result
+from robusta import Graph, cli, path, robust_parameter
+from robusta.certify import CertificateError, _main, validate_result
 from robusta.exact import classical_parameter, iota
+from robusta.graphio import write_dimacs
 
 # K5 less the edge (0, 1): 9 edges on 5 vertices, so the whole edge set is
 # not removable at s = 1, and the pair (0, 1) is never a surviving edge
@@ -104,3 +113,82 @@ def test_each_check_rejects_its_corruption(param, s, corrupt, message):
     corrupt(result)
     with pytest.raises(CertificateError, match=message):
         validate_result(G, result)
+
+
+def _certify(result, graph):
+    """(exit code, stdout, stderr) of `python -m robusta.certify` run in
+    process on a result object and a graph."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        res_file, graph_file = os.path.join(d, "r.json"), os.path.join(d, "g.col")
+        with open(res_file, "w", encoding="utf-8") as fh:
+            json.dump(result, fh)
+        with open(graph_file, "w", encoding="utf-8") as fh:
+            fh.write(write_dimacs(graph))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _main(["certify", res_file, graph_file])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("removed_edges", [[0, 2]], r"removed pair \[0, 2\] is not an edge"),
+    ("removed_edges", [[0, 1, 2]], r"removed pair \[0, 1, 2\] is not an edge"),
+    ("s", -1, "budget -1 is not a non-negative integer"),
+], ids=["non-edge", "three-vertices", "negative-budget"])
+def test_certify_main_rejects_bad_removed_set(field, value, message):
+    """A removed set naming a non-edge and a negative budget are invalid
+    certificates: exit 2 with one `error:` line, no traceback."""
+    P = path(3)
+    res = robust_parameter(P, "chi", 1)
+    result = {"parameter": "chi", "s": 1, "value": res.value,
+              "certificate": res.certificate}
+    assert _certify(result, P)[0] == 0
+    if field == "s":
+        result["s"] = value
+    else:
+        result["certificate"][field] = value
+    code, out, err = _certify(result, P)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(message, err), err
+
+
+@functools.cache
+def _compute_report():
+    """A `compute` report on G for every robust parameter at s = 1."""
+    with tempfile.TemporaryDirectory() as d:
+        graph_file, report_file = os.path.join(d, "g.col"), os.path.join(d, "r.json")
+        with open(graph_file, "w", encoding="utf-8") as fh:
+            fh.write(write_dimacs(G))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["compute", "--input", graph_file, "--s", "1",
+                             "--param", "chi,omega,alpha,theta,chiprime",
+                             "--out", report_file])
+        assert code == 0
+        with open(report_file, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_certify_main_survives_any_field_value(data):
+    """One field of a valid compute result, or of its certificate, set to
+    any JSON value: certify exits 0, 2 or 3 with at most one `error:` line
+    and never raises."""
+    report = copy.deepcopy(_compute_report())
+    assert _certify(report, G)[0] == 0
+    result = data.draw(st.sampled_from(report["results"]))
+    where = data.draw(st.sampled_from([result, result["certificate"]]))
+    where[data.draw(st.sampled_from(sorted(where)))] = data.draw(JSON)
+    code, out, err = _certify(report, G)
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

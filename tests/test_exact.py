@@ -52,6 +52,16 @@ def test_caps_raise():
     classical_parameter(erdos_renyi(17, 0.1, 1), "chi", caps)
 
 
+def test_robust_omega_uses_the_callers_caps():
+    """omega_s reads omega(G) under the robust cap it was given, not under
+    the classical omega cap: 21 vertices pass robust_n = 25."""
+    G = erdos_renyi(21, 0.1, 1)
+    caps = SolverCaps().override(robust_n=25)
+    res = robust_parameter(G, "omega", 1, caps)
+    validate_result(G, as_dict(res))
+    assert res.value == 2  # 24 edges exceed the 21 that s = 1 can remove
+
+
 def test_robust_chromatic_known_values():
     assert robust_chromatic(complete(7)).value == 3
     assert robust_chromatic(cycle(4)).value == 1

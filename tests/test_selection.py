@@ -113,6 +113,38 @@ def test_removable_set_matches_exhaustive_orientations():
                 assert _can_add_each(F, outside) == answers
 
 
+class _LoggedTrail(list):
+    """A union-find trail that records every append and pop."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def append(self, item):
+        self.log.append("append")
+        super().append(item)
+
+    def pop(self, *args):
+        self.log.append("pop")
+        return super().pop(*args)
+
+
+def test_rejected_push_leaves_the_trail_untouched():
+    """At s = 1 a rejected push writes nothing to the union-find; an
+    accepted push leaves one trail entry and pop takes back just that."""
+    F = RemovableSet(7, 1)
+    for e in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:  # two triangles
+        assert F.push(e)
+    log = []
+    F._uf.trail = _LoggedTrail(F._uf.trail, log)
+    before = _removable_state(F)
+    assert not F.push((0, 3))  # joins two components with edges == vertices
+    assert log == [] and _removable_state(F) == before
+    assert F.push((0, 6))  # a triangle plus a new vertex: 4 edges, 4 vertices
+    F.pop()
+    assert log == ["append", "pop"] and _removable_state(F) == before
+
+
 def test_is_removable_examples():
     c5 = cycle(5)
     assert is_removable(c5.edges, c5, 1)[0]

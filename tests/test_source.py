@@ -43,6 +43,34 @@ def test_src_imports_only_stdlib():
     assert found == [], f"non-stdlib imports in src/robusta: {', '.join(found)}"
 
 
+def test_private_names_are_referenced():
+    """Every module-level private name (def, class or assignment) in the
+    package is used somewhere in the package: no dead helpers."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((name, f"{path.name}:{node.lineno} {name}") for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = sorted(where for name, where in defined.items() if name not in used)
+    assert unused == [], f"unreferenced private names in src/robusta: {', '.join(unused)}"
+
+
 @pytest.mark.parametrize("args", [
     ["--gen", "erdos_renyi:8,0.5", "--seed", "3",
      "--param", "chi,omega,alpha,theta,chiprime", "--s", "1"],
