@@ -435,22 +435,37 @@ def _classical_kernel(n: int, masks: list[int], which: str):
     raise ValueError(f"unknown robust parameter {which!r}")
 
 
-def _cannot_beat(n: int, masks: list[int], which: str, best: int) -> bool:
-    """True when classical bounds show that `which` of the graph with
+def _color_classes(coloring: list[int]) -> list[int]:
+    """Vertex masks of the non-empty colour classes, by colour."""
+    classes = [0] * (max(coloring, default=-1) + 1)
+    for v, c in enumerate(coloring):
+        classes[c] |= 1 << v
+    return [c for c in classes if c]
+
+
+def _cannot_beat(n: int, masks: list[int], which: str, best: int):
+    """Truthy when classical bounds show that `which` of the graph with
     adjacency masks `masks` cannot strictly beat the incumbent `best >= 0`:
     cannot go below it for chi, omega and chi_prime, nor above it for alpha
-    and theta.  False means only that the bounds did not decide."""
+    and theta.  Falsy means only that the bounds did not decide.
+
+    A decision for chi and omega returns its witness as a list of vertex
+    masks of cliques: one clique of at least `best` vertices; for theta, a
+    clique cover of at most `best` classes.  A decision with no such
+    witness (alpha, chi_prime, theta on no vertices) returns True."""
     if which in ("chi", "omega"):
-        return len(_greedy_clique(n, masks)) >= best
+        clique = _greedy_clique(n, masks)
+        return len(clique) >= best and [sum(1 << v for v in clique)]
     if which == "chi_prime":
         return max((m.bit_count() for m in masks), default=0) >= best
     comp = _complement_masks(n, masks)
     if which == "alpha":
         return not _max_clique(n, comp, floor=best)[0]
     if which == "theta":
-        if max(_dsatur(n, comp), default=-1) < best:  # at most best colours
-            return True
-        return _k_coloring(n, comp, best, _greedy_clique(n, comp))[0] is not None
+        coloring = _dsatur(n, comp)
+        if max(coloring, default=-1) >= best:  # more than best colours
+            coloring = _k_coloring(n, comp, best, _greedy_clique(n, comp))[0]
+        return coloring is not None and (_color_classes(coloring) or True)
     raise ValueError(f"unknown robust parameter {which!r}")
 
 
@@ -707,11 +722,14 @@ def _clique_partition_targets(G: Graph, B: int, bits: list[dict[int, int]]) -> l
 
     rec(0, 0)
     # sorted() keeps set order on ties, so the targets' order depends on
-    # the order the masks were added in
+    # the order the masks were added in.  A kept mask inside `mask` has its
+    # lowest edge bit in `mask`, so only those buckets are searched.
     kept: list[int] = []
+    buckets: dict[int, list[int]] = {}
     for mask in sorted(masks, key=int.bit_count):
-        if not any(km & mask == km for km in kept):
+        if not any(km & mask == km for b in _bits(mask) for km in buckets.get(b, ())):
             kept.append(mask)
+            buckets.setdefault((mask & -mask).bit_length() - 1, []).append(mask)
     return kept
 
 
@@ -896,16 +914,30 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
     """Best classical value over G - F for every F that
     enumerate_removable_sets streams in `mode`; stats.nodes counts the sets.
     The first F with the best value wins; a set that _cannot_beat the
-    incumbent is counted but not evaluated."""
+    incumbent is counted but not evaluated.
+
+    The last clique or clique cover _cannot_beat returned is tried first:
+    while its classes stay cliques of G - F it still decides, because the
+    incumbent only moves one way (down for chi and omega, whose clique had
+    at least the old best vertices; up for theta, whose cover had at most
+    the old best classes)."""
     t0 = time.perf_counter()
     minimize = _MINIMIZED[which]
     best = None
+    witness = None  # (v, the members of v's class above v) pairs
     count = 0
     for F in enumerate_removable_sets(G, s, mode, edge_cap=edge_cap):
         count += 1
         masks = _removed_masks(G, F)
-        if best is not None and _cannot_beat(G.n, masks, which, best[0]):
+        if witness is not None and all(masks[v] & above == above for v, above in witness):
             continue
+        if best is not None:
+            decided = _cannot_beat(G.n, masks, which, best[0])
+            if isinstance(decided, list):
+                witness = [(v, above) for c in decided for v in _bits(c)
+                           if (above := c >> (v + 1) << (v + 1))]
+            if decided:
+                continue
         val, cert, _ = _classical_kernel(G.n, masks, which)
         if best is None or (val < best[0] if minimize else val > best[0]):
             best = (val, F, cert)

@@ -6,8 +6,10 @@ from robusta import (CapExceeded, Graph, canonical_form, classical_parameter,
                      robust_chromatic, robust_parameter, robust_via_maximal,
                      star)
 from robusta.certify import CertificateError, validate_result
-from robusta.exact import SolverCaps, _cannot_beat, _classical_kernel
+from robusta.exact import (SolverCaps, _bits, _cannot_beat, _classical_kernel,
+                           _removed_masks)
 from robusta.filters import nonisomorphic_graphs
+from robusta.selection import enumerate_removable_sets
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 
@@ -136,6 +138,63 @@ def test_cannot_beat_is_sound_on_all_small_graphs():
                     assert not (skip and beats), (G.sorted_edges(), which, best)
                     if (best == 0) if minimize else (best >= n):
                         assert skip, (G.sorted_edges(), which, best)
+
+
+def test_cannot_beat_witnesses_are_cliques():
+    """A list that the skip test returns is its reusable witness: for chi
+    and omega one clique of at least `best` vertices, for theta a cover of
+    all vertices by at most `best` disjoint cliques."""
+    for n in range(7):
+        full = (1 << n) - 1
+        for G in nonisomorphic_graphs(n):
+            masks = G.adjacency_masks()
+            for which in PARAMS:
+                for best in range(n + 2):
+                    witness = _cannot_beat(n, masks, which, best)
+                    if not isinstance(witness, list):
+                        continue
+                    where = (G.sorted_edges(), which, best, witness)
+                    for c in witness:
+                        assert all((masks[v] | 1 << v) & c == c for v in _bits(c)), where
+                    if which in ("chi", "omega"):
+                        assert len(witness) == 1 and witness[0].bit_count() >= best, where
+                    else:
+                        assert which == "theta" and len(witness) <= best, where
+                        assert sum(witness) == full and all(witness), where
+                        assert sum(c.bit_count() for c in witness) == n, where
+
+
+def _plain_enumerated(G, which, s, mode):
+    """The enumeration tiers with no skip test: the classical kernel on
+    every set, the first strict improvement kept."""
+    minimize = which in ("chi", "omega", "chi_prime")
+    best, count = None, 0
+    for F in enumerate_removable_sets(G, s, mode):
+        count += 1
+        val, cert, _ = _classical_kernel(G.n, _removed_masks(G, F), which)
+        if best is None or (val < best[0] if minimize else val > best[0]):
+            best = (val, F, cert)
+    val, F, cert = best
+    return val, dict(cert, removed_edges=[list(e) for e in sorted(F)]), count
+
+
+def test_skipping_sets_keeps_the_first_best_set():
+    """The oracle and maximal tiers skip sets by bounds and by the last
+    witness, yet return what evaluating every set returns: the value, the
+    first best set with its kernel certificate, and the set count."""
+    checked = 0
+    for seed in range(24):
+        G = erdos_renyi(3 + seed % 5, [0.4, 0.6][seed % 2], seed)
+        if G.m > 12:
+            continue
+        for s in (1, 2):
+            for which in PARAMS:
+                for mode, tier in (("all", oracle_robust), ("maximal", robust_via_maximal)):
+                    res = tier(G, which, s)
+                    got = (res.value, res.certificate, res.stats["nodes"])
+                    assert got == _plain_enumerated(G, which, s, mode), (seed, s, which, mode)
+                    checked += 1
+    assert checked >= 200
 
 
 def test_maximal_tier_agreement():

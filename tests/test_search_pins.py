@@ -23,6 +23,7 @@ import pytest
 from robusta import (Graph, complete, cycle, dp_robust, erdos_renyi,
                      heuristic_decomposition, make_nice, maximal_outerplanar,
                      oracle_robust, robust_parameter, robust_via_maximal)
+from robusta import exact
 from robusta.exact import _complement_masks, _removed_masks
 from robusta.treewidth import (_AlphaStrategy, _ChiStrategy, _introduce_choices,
                                _run_dp)
@@ -205,6 +206,26 @@ def test_search_digest_is_pinned(key):
 def test_bench_shaped_digest_is_pinned(key):
     engine, which, s = key.split(":")
     assert _bench_shaped_digest(engine, which, int(s)) == BENCH_SHAPED_PINNED[key]
+
+
+@pytest.mark.parametrize("s", (1, 2))
+@pytest.mark.parametrize("which", ("chi", "omega", "theta"))
+def test_oracle_reuses_cannot_beat_witnesses(monkeypatch, which, s):
+    """The oracle re-checks its last clique or clique cover on each set
+    before it asks the bounds again, so on the bench-shaped graphs the
+    bounds run on at most a quarter of the sets (on all but the first of
+    each graph without the reuse)."""
+    calls = []
+    bound = exact._cannot_beat
+
+    def counted(*args):
+        calls.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(exact, "_cannot_beat", counted)
+    sets = sum(oracle_robust(_bench_shaped(*spec), which, s).stats["nodes"]
+               for spec in BENCH_SHAPED_GRAPHS)
+    assert 4 * len(calls) <= sets, (len(calls), sets)
 
 
 @pytest.mark.parametrize("s", sorted(DEEP_CHI_PRIME_PINNED))
