@@ -570,8 +570,12 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
     edge-mask, or None, and the search nodes visited.
 
     Branch and bound on the target with the fewest addable edges, with a
-    visited-set over partial removals, a coverage-counting prune and a
-    greedy edge-disjoint packing prune.
+    coverage-counting prune and a greedy edge-disjoint packing prune.  The
+    branch for option e_i may not add the options before it: a solution
+    lies in the branch of the first option it holds, so none is lost and no
+    edge set is reached twice.  An edge F cannot take stays out of the
+    subtree, as removable sets form a matroid (F + e dependent makes F' + e
+    dependent for every F' containing F).
     """
     edges = G.sorted_edges()
     n, m = G.n, len(edges)
@@ -587,24 +591,20 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
     static_cov = [pm.bit_count() for pm in per_edge]
     max_static = max(static_cov) if static_cov else 0
     all_q = (1 << len(target_masks)) - 1
-    visited: set[int] = set()
     F = RemovableSet(n, s)
     scan_cap = 128  # prunes stay sound when scans stop early
     nodes = 0
 
-    def rec(fmask: int, unhit: int):
+    def rec(unhit: int, cand: int):  # cand: edges the subtree may add
         nonlocal nodes
         nodes += 1
         if unhit == 0:
             return list(F.edges)
         if len(F.edges) >= budget:
             return None
-        if fmask in visited:
-            return None
-        visited.add(fmask)
         addset = 0
-        for ei in range(m):
-            if not (fmask >> ei) & 1 and F.can_add(edges[ei]):
+        for ei in _bits(cand):
+            if F.can_add(edges[ei]):
                 addset |= 1 << ei
         if not addset:
             return None
@@ -652,14 +652,15 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
         target_opts = sorted(_bits(target_masks[pick] & addset),
                              key=lambda ei: -static_cov[ei])
         for ei in target_opts:
+            addset &= ~(1 << ei)  # later siblings exclude this option
             F.push(edges[ei])
-            res = rec(fmask | (1 << ei), unhit & ~per_edge[ei])
+            res = rec(unhit & ~per_edge[ei], addset)
             F.pop()
             if res is not None:
                 return res
         return None
 
-    return rec(0, all_q), nodes
+    return rec(all_q, (1 << m) - 1), nodes
 
 
 def _omega_robust(G: Graph, s: int):
@@ -783,16 +784,12 @@ def _min_max_degree(G: Graph, s: int):
 
     def decision(v):
         nonlocal nodes
-        visited: set[int] = set()  # edge-bit masks of the sets F tried
         F = RemovableSet(n, s)
         residual = degs[:]  # degrees of G - F
 
-        def rec(fmask: int):
+        def rec(banned: int):  # edge bits the subtree may not add, F's too
             nonlocal nodes
             nodes += 1
-            if fmask in visited:
-                return None
-            visited.add(fmask)
             over = [(residual[x] - v, x) for x in range(n) if residual[x] > v]
             if not over:
                 return sorted(F.edges)
@@ -804,15 +801,18 @@ def _min_max_degree(G: Graph, s: int):
             cand = []
             for w, b in bits[x].items():
                 e = (x, w) if x < w else (w, x)
-                if not fmask & b and F.can_add(e):
+                if not banned & b and F.can_add(e):
                     cand.append((e, b))
             if len(cand) < residual[x] - v:
                 return None
             for e, b in cand:
+                # a solution removes some candidate edge and lies in the
+                # branch of its first one: later siblings ban e
+                banned |= b
                 F.push(e)
                 residual[e[0]] -= 1
                 residual[e[1]] -= 1
-                res = rec(fmask | b)
+                res = rec(banned)
                 residual[e[0]] += 1
                 residual[e[1]] += 1
                 F.pop()
@@ -885,7 +885,10 @@ def _chi_prime_robust(G: Graph, s: int):
         left[u] -= 1
         left[v] -= 1
 
-    dfs(0)
+    # every leaf keeps m - rank edges in G - F; above D* * (n // 2) no leaf
+    # can be D*-edge-colourable, so the walk could only fail
+    if m - rank <= dstar * (n // 2):
+        dfs(0)
     if found is not None:
         return dstar, found, nodes
     F = maximal_extension(G, s, frozenset(F0))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from robusta import (CapExceeded, Graph, canonical_form, classical_parameter,
@@ -7,7 +9,8 @@ from robusta import (CapExceeded, Graph, canonical_form, classical_parameter,
                      star)
 from robusta.certify import CertificateError, validate_result
 from robusta.exact import (SolverCaps, _bits, _cannot_beat, _classical_kernel,
-                           _removed_masks)
+                           _clique_partition_targets, _cliques_of_size, _edge_bits,
+                           _hit_all_targets, _min_max_degree, _removed_masks)
 from robusta.filters import nonisomorphic_graphs
 from robusta.selection import enumerate_removable_sets
 
@@ -120,6 +123,70 @@ def test_oracle_solver_agreement():
                 assert o.value == e.value, (seed, n, p, s, which)
                 checked += 1
     assert checked >= 300 * 10
+
+
+# seeded graphs on 3-7 vertices, small enough to enumerate every removable set
+BRUTE_GRAPHS = [(n, p, 10 * n + seed) for n in range(3, 8) for p in (0.5, 0.7)
+                for seed in range(2)]
+
+
+def _removable_masks(G, s):
+    """Edge-bit masks (bit i: edge i of G.sorted_edges()) of every removable set."""
+    index = {e: i for i, e in enumerate(G.sorted_edges())}
+    return index, {sum(1 << index[e] for e in F) for F in enumerate_removable_sets(G, s)}
+
+
+@pytest.mark.parametrize("s", (1, 2))
+def test_hitting_search_matches_brute_force(s):
+    """_hit_all_targets finds a removable set meeting every target exactly
+    when one exists among all removable sets: clique targets (omega_s),
+    clique-partition targets (theta_s) and random target families."""
+    rng = random.Random(s)
+    checked = found = 0
+    for spec in BRUTE_GRAPHS:
+        G = erdos_renyi(*spec)
+        if G.m == 0:
+            continue
+        index, removable = _removable_masks(G, s)
+        bits = _edge_bits(G)
+        families = [_cliques_of_size(G, k, bits) for k in (2, 3, 4)]
+        families += [_clique_partition_targets(G, B, bits) for B in range(1, G.n + 1)]
+        for _ in range(6):  # random families of 1-8 targets, 1-3 edges each
+            sizes = [rng.randint(1, min(3, G.m)) for _ in range(rng.randint(1, 8))]
+            families.append([sum(1 << i for i in rng.sample(range(G.m), k)) for k in sizes])
+        for targets in families:
+            want = any(all(t & fm for t in targets) for fm in removable)
+            F, _ = _hit_all_targets(G, s, targets)
+            assert (F is not None) == want, (spec, s, targets)
+            if F is not None:
+                fm = sum(1 << index[e] for e in F)
+                assert fm in removable and all(t & fm for t in targets), (spec, s, F)
+                found += 1
+            checked += 1
+    assert checked > 200 and 0 < found < checked
+
+
+@pytest.mark.parametrize("s", (1, 2))
+def test_min_max_degree_matches_brute_force(s):
+    """chi'_s phase 1: D* is the least max degree of G - F over every
+    removable F, and the witness is removable and attains it."""
+    for spec in BRUTE_GRAPHS:
+        G = erdos_renyi(*spec)
+        index, removable = _removable_masks(G, s)
+        edges = G.sorted_edges()
+
+        def max_degree(fm):
+            deg = [0] * G.n
+            for i, (u, v) in enumerate(edges):
+                if not fm >> i & 1:
+                    deg[u] += 1
+                    deg[v] += 1
+            return max(deg, default=0)
+
+        dstar, witness, _ = _min_max_degree(G, s)
+        assert dstar == min(max_degree(fm) for fm in removable), spec
+        fm = sum(1 << index[e] for e in witness)
+        assert fm in removable and max_degree(fm) == dstar, (spec, witness)
 
 
 def test_cannot_beat_is_sound_on_all_small_graphs():

@@ -4,6 +4,8 @@ byte for byte.
 
 A speed change to a search (bit tricks, fewer temporary objects) must visit
 the same nodes in the same order; these digests catch one that does not.
+`EXACT_VALUES_PINNED` hashes the exact tier's values alone, so a re-pin
+after a deliberate change of search order cannot hide a changed value.
 Each digest is the sha256 of (value, certificate, stats.nodes), as sorted
 JSON, over a fixed list of seeded graphs.  A DP digest hashes the DP stats
 without `elapsed_ms` in place of `stats.nodes`; a DP table that breaks its
@@ -17,6 +19,7 @@ for every key and say why in the change log.
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -58,9 +61,9 @@ PINNED = {
     "exact:omega:2": "ffb06f67f3af1a801696249ec7564f107d45912bdcdeb224edebbaea184a6297",
     "exact:alpha:1": "11b1ab593706a71a6e94656b41ca1b499b92bbd4acf37b348fc54829975895b5",
     "exact:alpha:2": "69f14d7d3e10b801a138079750aa519f914af82fbc39fe4566e1be77d214e0b8",
-    "exact:theta:1": "7916e2d3654eb2abe46e69c905d3d76f31cb359078d289fa469b7909c2dc2b98",
-    "exact:theta:2": "2483fd059ef014d946c8abe88a4087546098f89aac5b8a4a7ec96fc7f869a540",
-    "exact:chi_prime:1": "2c15c40cfa00c0850006502e766b51ced8f5e2bac5392432fbdbe8d36e5ae7b9",
+    "exact:theta:1": "93b5087f3d1512e7f4fd3c4e33e6adb88142e12c21ace956f552c847d9584808",
+    "exact:theta:2": "ee8859c4213b0bf1ce75c25979def3a2c00cfc7800d4ea570131067eae32088c",
+    "exact:chi_prime:1": "3c9decd0e2146880a77c213b0ba1a890e0586517640e5739bf40da993beff365",
     "exact:chi_prime:2": "2e5e561792a67b106c8e446ff27f04595fe0a44b678c60b4eac4d0a1f056dd6c",
     "oracle:chi:1": "860c5f47d8e0bd71be73ab2ad50be8dd89162215bca0c973a28d0eab6f06d3e4",
     "oracle:chi:2": "ec86e4bd998d52e1c3a08c700986093f38f9e5bb031bcb541c86f18e71478a39",
@@ -125,8 +128,25 @@ def _bench_shaped(n, m, seed):
 DEEP_CHI_PRIME_GRAPHS = {1: [(9, 0.5, 2), (10, 0.5, 2), (10, 0.5, 3)],
                          2: [(9, 0.5, 1), (10, 0.5, 1)]}
 DEEP_CHI_PRIME_PINNED = {
-    1: "e40d70d51fc39a155eb1f1f2630c6c71fea3fef47ae47e5d79f422fb23214a2e",
-    2: "f0c4eb461c2520e3b663d0ebdbeaf4b30e5340797c6cebfca4360c73965e4718",
+    1: "156591f2dcecf43323c5165e8b8c8c5b1af85a339b0488d9bae98a42542dd6b0",
+    2: "5ca575fdd86e9d078887f3093b7119943c1e1fd8ed6ee3d7c2665fda0a14c50e",
+}
+
+# sha256 of the value list alone (no certificate, no node count) of every
+# exact:* key of PINNED and of both DEEP_CHI_PRIME_GRAPHS budgets
+EXACT_VALUES_PINNED = {
+    "exact:chi:1": "5fd65b7d263ee375705da2b9a428345500e959e2d5fa6783a2f7010275f35ccb",
+    "exact:chi:2": "4920f8672b2786a9ed2be9b8f2857032d03e6a928210989f23f285fd08605c50",
+    "exact:omega:1": "5fd65b7d263ee375705da2b9a428345500e959e2d5fa6783a2f7010275f35ccb",
+    "exact:omega:2": "4920f8672b2786a9ed2be9b8f2857032d03e6a928210989f23f285fd08605c50",
+    "exact:alpha:1": "b882ce795b853a9a61cedfa38c8dac840de4f0d2e3866dadb0321891179418eb",
+    "exact:alpha:2": "1bc1077ec7f8b6d010c56a40542367299bdb419bceab1c728fa90c29b6c50394",
+    "exact:theta:1": "b882ce795b853a9a61cedfa38c8dac840de4f0d2e3866dadb0321891179418eb",
+    "exact:theta:2": "1bc1077ec7f8b6d010c56a40542367299bdb419bceab1c728fa90c29b6c50394",
+    "exact:chi_prime:1": "d195d938e2aea41104609a766084bf6b1739692a4722b1ed4d39f0f4e5595ad4",
+    "exact:chi_prime:2": "9ce76de73befd7b976d76ceeb8f5bb9bad35db45e51ae4be8d7ee0e5d860eba7",
+    "deep:chi_prime:1": "8ede761fee774f3c4f54de3f5725a7ba97cf21d9bb33ec9f117a09f959120f2c",
+    "deep:chi_prime:2": "9bd5ef172cfe02cc1ff3d784f8847ece4329a99b8d6a042ccfb0b4c524a67996",
 }
 
 
@@ -234,6 +254,55 @@ def test_deep_chi_prime_walks_are_pinned(s):
     maximality test decide most nodes."""
     graphs = [erdos_renyi(*spec) for spec in DEEP_CHI_PRIME_GRAPHS[s]]
     assert _results_digest("exact", "chi_prime", s, graphs) == DEEP_CHI_PRIME_PINNED[s]
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_VALUES_PINNED))
+def test_exact_values_are_pinned(key):
+    corpus, which, s = key.split(":")
+    specs = EXACT_GRAPHS if corpus == "exact" else DEEP_CHI_PRIME_GRAPHS[int(s)]
+    values = [robust_parameter(erdos_renyi(*spec), which, int(s)).value for spec in specs]
+    assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == EXACT_VALUES_PINNED[key]
+
+
+def test_exact_searches_reach_no_edge_set_twice(monkeypatch):
+    """The omega_s and theta_s hitting searches and chi'_s phase 1 partition
+    their search spaces: within one search (one RemovableSet) no removed
+    edge set is pushed twice.  At s >= 2 can_add is a push and a pop; those
+    probes are not counted."""
+    searches: list[list[frozenset]] = []
+
+    class Recording(exact.RemovableSet):
+        def __init__(self, n, s):
+            super().__init__(n, s)
+            self.probing = False
+            self.reached: list[frozenset] = []
+            searches.append(self.reached)
+
+        def can_add(self, e):
+            self.probing = True
+            try:
+                return super().can_add(e)
+            finally:
+                self.probing = False
+
+        def push(self, e):
+            ok = super().push(e)
+            if ok and not self.probing:
+                self.reached.append(frozenset(self.edges))
+            return ok
+
+    monkeypatch.setattr(exact, "RemovableSet", Recording)
+    for spec in EXACT_GRAPHS:
+        for which in ("omega", "theta"):
+            for s in (1, 2):
+                robust_parameter(erdos_renyi(*spec), which, s)
+    for s, specs in DEEP_CHI_PRIME_GRAPHS.items():
+        for spec in specs:
+            exact._min_max_degree(erdos_renyi(*spec), s)
+    assert sum(len(reached) for reached in searches) > 1000
+    for reached in searches:
+        repeated = [sorted(fs) for fs, k in Counter(reached).items() if k > 1]
+        assert not repeated, repeated[:3]
 
 
 def test_decomposition_pipeline_is_pinned():
