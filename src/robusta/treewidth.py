@@ -1,19 +1,25 @@
 """Nice tree decompositions and linear-time dynamic programs for the four
 robust parameters on bounded-treewidth graphs.
 
-Shared selection state per bag: `arcs` is the partial selection restricted
-to bag-internal edges, with out-degree <= 1, stored as an int with two bits
-per edge index i of G.sorted_edges() (bit 2i: the lower endpoint selects
-the edge, bit 2i + 1: the higher one does); `pset` is the vertex bitmask
-of the bag vertices whose selection is already spent, either on a stored
-arc or on an edge into the already-forgotten region.  Every
-selection choice is made when the later endpoint of its edge is introduced,
-which enumerates each selection exactly once.  At join nodes both children
-must agree on the stored arcs, and a vertex may carry a forgotten-edge
-selection from at most one side (it selects only once).
+Shared selection state per bag: in a 1-removed subgraph every vertex
+pays for (selects) at most one removed edge at it, and no later node needs
+to know which endpoint pays for a removed edge with both ends in the bag.
+So a row keeps `R`, the removed bag edges as a bitmask over the edge
+indices of G.sorted_edges(), and `A`, the vertex bitmask of the bag
+vertices whose selection is already spent on an edge to a forgotten
+vertex.  By Hakimi's orientation theorem (1965), R can still be paid for
+with nothing from A exactly when no component of (bag, R) has more edges
+than vertices outside A (`_payable`); every row passes that test.  Each
+edge is removed or kept at the introduce of its later endpoint v, one
+choice per subset T of v's bag neighbours, so every removed edge set is
+enumerated once.  Who pays for a removed bag edge is settled when its first
+endpoint v is forgotten: if v is in A, the other endpoints pay, else v pays
+for one of the edges and the others pay for theirs; a payer must be
+outside A and joins it.  At join nodes both children must agree on R, and
+their A sets must be disjoint (a vertex pays once).
 
 Every parameter is one optimization pass with one table per node: a row
-(arcs, pset, payload) maps to (value, provenance), the table keeps the
+(R, A, payload) maps to (value, provenance), the table keeps the
 better value per row, the provenance names the child row or rows it came
 from, and the answer is the best root row.  Parameter strategies:
 
@@ -40,13 +46,13 @@ from, and the answer is the best root row.  Parameter strategies:
 * theta_1 is a max over selections of a minimum cover, so rows carry the
   whole cost profile over flagged bag partitions (class mask, flag = class
   already touches a forgotten vertex).  Every finished table is pruned by
-  dominance: of two rows with the same (arcs, pset), the one whose profile
-  is pointwise <= the other's is dropped, reading a missing partition as
+  dominance: of two rows with the same (R, A), the one whose profile is
+  pointwise <= the other's is dropped, reading a missing partition as
   cost +inf.  This is sound because the rows above depend on a row only
-  through its (arcs, pset), which fixes the same future choices for both,
-  and through its profile, which introduce, forget and join transform by
-  monotone min-plus maps; so the dropped row never ends with a larger cover
-  than the kept one, and the final max is unchanged.
+  through its (R, A), which allows the same removals and payers above for
+  both, and through its profile, which introduce, forget and join
+  transform by monotone min-plus maps; so the dropped row never ends with
+  a larger cover than the kept one, and the final max is unchanged.
 
 The engine appends synthetic forget nodes above the root until the bag is
 empty, so extraction reads a table over the trivial state, and every
@@ -55,6 +61,7 @@ vertex has exactly one forget node.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -393,51 +400,48 @@ def _norm(u, v) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _introduce_choices(index, v, bag_nbrs, pset):
-    """Every selection choice when v enters the bag, in the engine's fixed
-    order: v selects no edge or one bag edge, and any subset T of its
-    neighbors not in `pset` select their edge to v.  Each choice is (arcs
-    added, pset added, (v_arc, T), vertex mask of the neighbors whose edge to
-    v it removes).  `index` maps an edge to its G.sorted_edges() position i:
-    an arc is bit 2i when the lower endpoint selects the edge and bit 2i + 1
-    when the higher one does."""
-    def arc(tail, head):
-        return 1 << (2 * index[_norm(tail, head)] + (tail > head))
-
-    subsets = []
-    for T in _subsets([u for u in bag_nbrs if not pset >> u & 1]):
-        arcs = p = 0
-        for u in T:
-            arcs |= arc(u, v)
-            p |= 1 << u
-        subsets.append((arcs, p, T))
-    choices = [(arcs, p, (None, T), p) for arcs, p, T in subsets]
-    for u in bag_nbrs:
-        mine = arc(v, u)
-        choices += [(arcs | mine, p | 1 << v, (u, T), p | 1 << u)
-                    for arcs, p, T in subsets]
-    return choices
+def _payable(edges, R, A) -> bool:
+    """Can every edge of R (a bitmask over `edges`) be paid for by one of
+    its endpoints, each vertex paying at most once and no vertex of the
+    mask A paying?  By Hakimi's orientation theorem (1965) with capacities
+    0 and 1, exactly when no component of R has more edges than vertices
+    outside A: a connected vertex set grows to its component by adding
+    vertices that each bring at least one edge and at most one capacity."""
+    comps: list[tuple[int, int]] = []  # (vertex mask, edge count)
+    for i in _bits(R):
+        a, b = edges[i]
+        mask, count = 1 << a | 1 << b, 1
+        rest = []
+        for cmask, ccount in comps:
+            if cmask & mask:
+                mask |= cmask
+                count += ccount
+            else:
+                rest.append((cmask, ccount))
+        rest.append((mask, count))
+        comps = rest
+    return all(count <= (mask & ~A).bit_count() for mask, count in comps)
 
 
 def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
     """Bottom-up table pass; returns (tables, nodes, top).  `tables[node]`
-    maps a row (arcs, pset, payload) to (value, provenance): the value the
-    strategy finds better, and the child row it came from (with the
-    `(v_arc, T)` choice at an introduce, both child rows at a join, None at
-    a leaf).  `arcs` is a bitmask over the selected arcs (see
-    `_introduce_choices`) and `pset` a vertex bitmask.  A strategy with a
-    `dominates` test has each finished table pruned before it is stored, so
-    kept rows only point at kept child rows.  `trace`, when a list, collects
-    one record per node: rows kept and pruned.
+    maps a row (R, A, payload) to (value, provenance): the value the
+    strategy finds better, and the child row it came from (with the tuple
+    T of neighbours whose edge to v it removes at an introduce of v, both
+    child rows at a join, None at a leaf).  `R` is a bitmask over
+    G.sorted_edges() and `A` a vertex bitmask (module docstring).  A
+    strategy with a `dominates` test has each finished table pruned before
+    it is stored, so kept rows only point at kept child rows.  `trace`,
+    when a list, collects one record per node: rows kept and pruned.
 
     Every strategy transform runs once per distinct input at a node.  The
-    introduce hook, `introduce(v, live, arcs, payload, value)`, reads only
-    `live`, the mask of v's bag neighbors whose edge to v survives (and, for
-    omega, the group's own arcs), so it runs once per child (arcs, pset)
-    group and distinct `live`; forget and join run once per distinct payload
-    and value.  An introduce writes its rows without comparing: v is new to
-    the bag, so distinct (child state, choice) pairs give distinct (arcs,
-    pset).
+    introduce hook, `introduce(v, live, R, payload, value)`, reads only
+    `live`, the mask of v's bag neighbours whose edge to v survives (and,
+    for omega, the group's own R), so it runs once per child (R, A) group
+    and choice of T; forget and join run once per distinct payload and
+    value.  An introduce writes its rows without comparing: v is new to the
+    bag, so R' = R | (edges v-T) gives back both R and T, and distinct
+    (child state, T) pairs give distinct (R', A).
     """
     nodes = list(nice.nodes)
     cur = nice.root
@@ -451,16 +455,7 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
     edges = G.sorted_edges()
     index = {e: i for i, e in enumerate(edges)}
     better = strategy.better
-    tails_of: dict[int, int] = {}  # arcs -> vertex mask of the arc tails
-
-    def tails(arcs):
-        got = tails_of.get(arcs)
-        if got is None:
-            got = 0
-            for bit in _bits(arcs):
-                got |= 1 << edges[bit >> 1][bit & 1]
-            tails_of[arcs] = got
-        return got
+    feasible = functools.cache(lambda R, A: _payable(edges, R, A))
 
     for node in _postorder(nodes, top):
         nd = nodes[node]
@@ -480,40 +475,45 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
             (c,) = nd.children
             bag_nbrs = sorted(u for u in G.adj[v] if u in nodes[c].bag)
             nbr_mask = sum(1 << u for u in bag_nbrs)
+            choices = [(T, sum(1 << index[_norm(u, v)] for u in T),
+                        nbr_mask & ~sum(1 << u for u in T))
+                       for T in _subsets(bag_nbrs)]
             groups: dict[tuple, list] = {}
             for key, (val, _) in tables[c].items():
                 groups.setdefault(key[:2], []).append((key, val))
-            choices_of: dict[int, list] = {}
-            for (arcs, pset), rows in groups.items():
-                spent = pset & nbr_mask
-                choices = choices_of.get(spent)
-                if choices is None:
-                    choices = choices_of[spent] = _introduce_choices(index, v, bag_nbrs, pset)
-                resolved: dict[int, dict] = {}  # removed neighbors at v -> rows
-                for add_arcs, add_p, choice, cut in choices:
-                    out = resolved.get(cut)
-                    if out is None:
-                        out = resolved[cut] = {}
-                        live = nbr_mask & ~cut
-                        for key, val in rows:
-                            for pay2, val2 in strategy.introduce(v, live, arcs, key[2], val):
-                                old = out.get(pay2)
-                                if old is None or better(val2, old[0]):
-                                    out[pay2] = (val2, key)
-                    arcs2, pset2 = arcs | add_arcs, pset | add_p
+            for (R, A), rows in groups.items():
+                for T, cut, live in choices:
+                    R2 = R | cut
+                    if cut and not feasible(R2, A):
+                        continue
+                    out: dict = {}
+                    for key, val in rows:
+                        for pay2, val2 in strategy.introduce(v, live, R, key[2], val):
+                            old = out.get(pay2)
+                            if old is None or better(val2, old[0]):
+                                out[pay2] = (val2, key)
                     for pay2, (val2, key) in out.items():
-                        tbl[arcs2, pset2, pay2] = (val2, (key, choice))
+                        tbl[R2, A, pay2] = (val2, (key, T))
         elif nd.kind == "forget":
             (c,) = nd.children
-            keep_p = ~(1 << v)
-            keep_arcs = ~sum(3 << 2 * index[_norm(u, v)] for u in G.adj[v])
+            vbit = 1 << v
+            other = {index[_norm(u, v)]: 1 << u for u in G.adj[v]}
+            v_edges = sum(1 << i for i in other)
+            states: dict[tuple, list] = {}
             moved: dict[tuple, tuple] = {}
             for key, (val, _) in tables[c].items():
-                arcs, pset, pay = key
-                got = moved.get((pay, val))
+                R, A, pay = key
+                got = states.get((R, A))
                 if got is None:
-                    got = moved[pay, val] = strategy.forget(v, pay, val)
-                put((arcs & keep_arcs, pset & keep_p, got[0]), got[1], key)
+                    got = states[R, A] = _forget_states(
+                        R, A, vbit, v_edges, other, feasible)
+                if not got:
+                    continue
+                res = moved.get((pay, val))
+                if res is None:
+                    res = moved[pay, val] = strategy.forget(v, pay, val)
+                for R2, A2 in got:
+                    put((R2, A2, res[0]), res[1], key)
         else:  # join
             a, b = nd.children
             join_key = strategy.join_key
@@ -522,14 +522,13 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
                 buckets.setdefault((key[0], join_key(key[2])), []).append((key, val))
             joined: dict[tuple, tuple | None] = {}
             for key, (val, _) in tables[a].items():
-                arcs, pset, pay = key
-                rows_b = buckets.get((arcs, join_key(pay)))
+                R, A, pay = key
+                rows_b = buckets.get((R, join_key(pay)))
                 if not rows_b:
                     continue
-                # a vertex selects once: a forgotten-edge selection on one side only
-                alone = pset & ~tails(arcs)
                 for key_b, val_b in rows_b:
-                    if alone & key_b[1]:
+                    # a vertex pays once: a forgotten edge on one side only
+                    if A & key_b[1] or not feasible(R, A | key_b[1]):
                         continue
                     both = (pay, val, key_b[2], val_b)
                     if both in joined:
@@ -537,7 +536,7 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
                     else:
                         res = joined[both] = strategy.join(pay, val, key_b[2], val_b)
                     if res is not None:
-                        put((arcs, pset | key_b[1], res[0]), res[1], (key, key_b))
+                        put((R, A | key_b[1], res[0]), res[1], (key, key_b))
 
         dropped = _dominated_rows(tbl, strategy.dominates) if strategy.dominates else ()
         for key in dropped:
@@ -550,22 +549,51 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
     return tables, nodes, top
 
 
+def _forget_states(R, A, vbit, v_edges, other, feasible) -> list:
+    """The (R', A') a row (R, A) leaves when v is forgotten: who pays for
+    each removed edge vx of R is settled here.  `v_edges` masks v's edge
+    bits, and `other` maps each edge index of v to its other endpoint's
+    vertex bit.  If v has spent its selection (v in A), every such x pays;
+    otherwise v pays for one vx and the other x pay for theirs.  A payer
+    must not be in A and joins it, and the new state must pass `feasible`.
+    "v pays for none" is left out: its A' contains the A' of each choice
+    above, and a smaller A' allows every completion a larger one does."""
+    mine = R & v_edges
+    R2 = R & ~v_edges
+    if not mine:
+        return [(R2, A & ~vbit)]
+    X = 0
+    for i in _bits(mine):
+        X |= other[i]
+    if A & vbit:
+        payers = [X]
+    else:
+        payers = [X & ~(1 << u) for u in _bits(X)]
+    return [(R2, (A | P) & ~vbit) for P in payers
+            if not P & A and feasible(R2, (A | P) & ~vbit)]
+
+
 def _dominated_rows(tbl, dominates) -> list:
-    """Keys of the rows to drop: among rows with the same (arcs, pset), every
-    row whose payload some other row's payload dominates.  Dominance is a
+    """Keys of the rows to drop: among rows with the same (R, A), every row
+    whose payload some other row's payload dominates.  Dominance is a
     strict partial order on distinct keys, so the kept rows are the maximal
-    ones and every dropped row is dominated by a kept one."""
+    ones and every dropped row is dominated by a kept one.  A payload is a
+    sequence of (item, cost) pairs; `dominates(pa, costs_b)` reads the
+    other row's as a dict, built once per row here."""
     groups: dict[tuple, list] = {}
     for key in tbl:
         groups.setdefault(key[:2], []).append(key)
     dropped = []
     for keys in groups.values():
+        if len(keys) == 1:
+            continue
+        costs = {key: dict(key[2]) for key in keys}
         front: list = []
         for key in keys:
-            if any(dominates(k[2], key[2]) for k in front):
+            if any(dominates(k[2], costs[key]) for k in front):
                 dropped.append(key)
                 continue
-            beaten = [k for k in front if dominates(key[2], k[2])]
+            beaten = [k for k in front if dominates(key[2], costs[k])]
             if beaten:
                 dropped.extend(beaten)
                 front = [k for k in front if k not in beaten]
@@ -586,9 +614,7 @@ def _walk_provenance(tables, nodes, top, key):
         nd = nodes[node]
         p = tables[node][k][1]
         if nd.kind == "introduce":
-            child_key, (v_arc, T) = p
-            if v_arc is not None:
-                removed.add(_norm(nd.vertex, v_arc))
+            child_key, T = p
             for u in T:
                 removed.add(_norm(u, nd.vertex))
             stack.append((nd.children[0], child_key))
@@ -646,7 +672,7 @@ class _AlphaStrategy(_Strategy):
         return [(0, 0), (1 << v, 1)]
 
     @staticmethod
-    def introduce(v, live, arcs, S, val):
+    def introduce(v, live, R, S, val):
         yield S, val
         if not S & live:
             yield S | 1 << v, val + 1
@@ -680,11 +706,11 @@ class _OmegaStrategy(_Strategy):
     def leaf(v):
         return [((), 1)]
 
-    def introduce(self, v, live, arcs, pay, val):
-        # the surviving edges among the live neighbors: G's, less the arcs
+    def introduce(self, v, live, R, pay, val):
+        # the surviving edges among the live neighbors: G's, less R's
         masks = {u: self.masks[u] & live for u in _bits(live)}
-        for bit in _bits(arcs):
-            a, b = self.edges[bit >> 1]
+        for i in _bits(R):
+            a, b = self.edges[i]
             if a in masks and b in masks:
                 masks[a] &= ~(1 << b)
                 masks[b] &= ~(1 << a)
@@ -735,7 +761,7 @@ class _ChiStrategy(_Strategy):
     def leaf(v):
         return [((1 << v,), 1)]
 
-    def introduce(self, v, live, arcs, classes, val):
+    def introduce(self, v, live, R, classes, val):
         bit = 1 << v
         if len(classes) < self.cap:
             yield _by_lowest(classes + (bit,)), max(val, len(classes) + 1)
@@ -780,15 +806,13 @@ class _ThetaStrategy(_Strategy):
     (flagged partition, cost) pairs."""
 
     @staticmethod
-    def dominates(pa, pb):
-        """True when a row with profile pb may be dropped for one with pa:
-        every flagged partition of pa also appears in pb at a cost <= pa's.
-        A partition missing from pb costs +inf there, so it never lets pb
-        be dropped."""
-        if len(pa) > len(pb):
-            return False
-        costs = dict(pb)
-        return all(fp in costs and costs[fp] <= cost for fp, cost in pa)
+    def dominates(pa, costs):
+        """True when a row whose profile, as a dict, is `costs` may be
+        dropped for one with profile pa: every flagged partition of pa also
+        appears in `costs` at a cost <= pa's.  A partition missing from
+        `costs` costs +inf there, so it never lets that row be dropped."""
+        return len(pa) <= len(costs) and all(
+            costs.get(fp, cost + 1) <= cost for fp, cost in pa)
 
     @staticmethod
     def join_key(pay):
@@ -807,7 +831,7 @@ class _ThetaStrategy(_Strategy):
         return [(((fp, 1),), 0)]
 
     @staticmethod
-    def introduce(v, live, arcs, pay, val):
+    def introduce(v, live, R, pay, val):
         bit = 1 << v
         out: dict[tuple, int] = {}
         for fp, cost in pay:

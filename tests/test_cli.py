@@ -104,7 +104,7 @@ def test_compute_dp_decomposes_once(monkeypatch, tmp_path):
     assert code == 0
     assert calls == {"heuristic_decomposition": 1, "make_nice": 1}
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "b96bbd4e29a788539667aeb5b02aa173fd0c2f5ffe2713fac3f1978433c14818"
+        "562299ba57803dc7b9d3cd5c854a700c35adc23067425b33409a367cb191beea"
     # a token the dp engine rejects fails before anything is decomposed
     code, _ = run_cli(["compute", "--gen", "cycle:5", "--param", "chi", "--s", "2",
                        "--engine", "dp", "--no-timing"])

@@ -4,8 +4,9 @@ byte for byte.
 
 A speed change to a search (bit tricks, fewer temporary objects) must visit
 the same nodes in the same order; these digests catch one that does not.
-`EXACT_VALUES_PINNED` hashes the exact tier's values alone, so a re-pin
-after a deliberate change of search order cannot hide a changed value.
+`EXACT_VALUES_PINNED` and `DP_VALUES_PINNED` hash the exact tier's and
+the DP's values alone, so a re-pin after a deliberate change of search
+order or row state cannot hide a changed value.
 Each digest is the sha256 of (value, certificate, stats.nodes), as sorted
 JSON, over a fixed list of seeded graphs.  A DP digest hashes the DP stats
 without `elapsed_ms` in place of `stats.nodes`; a DP table that breaks its
@@ -28,8 +29,8 @@ from robusta import (Graph, complete, cycle, dp_robust, erdos_renyi,
                      oracle_robust, robust_parameter, robust_via_maximal)
 from robusta import exact
 from robusta.exact import _complement_masks, _removed_masks
-from robusta.treewidth import (_AlphaStrategy, _ChiStrategy, _introduce_choices,
-                               _run_dp)
+from robusta.treewidth import (_AlphaStrategy, _ChiStrategy, _norm, _payable,
+                               _run_dp, _subsets)
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 EXACT_GRAPHS = [(n, p, seed) for n in (6, 7, 8, 9) for p, seed in ((0.4, n), (0.6, n + 10))]
@@ -47,14 +48,14 @@ DECOMPOSITION_GRAPHS = [(n, p, seed) for n in range(14) for p in (0.1, 0.25)
 DECOMPOSITION_PINNED = "332fbe635b58d9ffa02215fe08e3a86488cdcca5ab01ba9f72a0bf9acffe9c44"
 
 PINNED = {
-    "dp:alpha1": "3991a912260bd888d218488fc2ad854c9b6b90390ef632f49c2d709f594d0c35",
-    "dp:chi1": "83499f71efd59f69491beb446b0a98f03ce2e5c154b359d5e3223f524503e57b",
-    "dp:omega1": "f3a6500b9e8d3108eb0757e089f7883b7fe08a1219bd493ae0a95eaf4d996d47",
-    "dp:theta1": "c36960c823d33e2f12cf816164c1a5eb354ad76c6fcaedb9a12f52a8211a0b97",
-    "dp-large:alpha1": "7f6f03307182c003506c3dc2c18d46b0d9a1b7d8e106cfc22280f6f715138d3a",
-    "dp-large:chi1": "40327f3f1de7d9e7533811906b0306ee636d6ad6e8257184e667dd3028e449b5",
-    "dp-large:omega1": "f07f6c901cbec18cb4f3c195b16274d855dd3891a2e407c90b3c78f4d96472b9",
-    "dp-large:theta1": "e7253543520a6595f11658bfd25efc7555c5038f515c5cc704b57d672ee4741a",
+    "dp:alpha1": "de0a211939598b6feb7b6ffdc4cb38bea7b6b0f226a94e4e5c87c6d40a3238a1",
+    "dp:chi1": "8fa12ee718a44cb63cc5f2f99b75bd30a41e276d5904aef831fcd8ec58d9c5b5",
+    "dp:omega1": "9fd897283467a520d831baf67360db87e4417a2a6c555fc8449e0cd15dcfaf32",
+    "dp:theta1": "7f466856ab9745df7da9a2ca27bf8bc1d0fd23e434842b7341476ddc84f65e33",
+    "dp-large:alpha1": "97e9fb0315786bf5cb0f9f942e3a071527dcc246cde458f7efd137546449e685",
+    "dp-large:chi1": "20222714d0fe8cb2746f9019fa6dcbd2c259d9075acf749d26cf589e8c1b748b",
+    "dp-large:omega1": "d90c258027455fc8d61207c43e8c32c0cdf3e49bd6823591ef8ae49322875283",
+    "dp-large:theta1": "1ee9d3f1ed49d8d6969afa08d6a2bb18b09fdd07c36219622a33dc10a4fa13d1",
     "exact:chi:1": "abeb28a250cb06e93e1fa52772afcb277c203d2d81121fecadce5946d65c6764",
     "exact:chi:2": "0b64b4154e25f009b54db67c5ad1452c60a653b653f3944b8e2404e8eb41d553",
     "exact:omega:1": "ceb12e61ba9a491688d1c1eac919ec143cb4b200475c2ff58554ce07430f9731",
@@ -150,6 +151,20 @@ EXACT_VALUES_PINNED = {
 }
 
 
+# sha256 of the value list alone of every dp:* and dp-large:* key of PINNED;
+# a change to the DP's row state may re-pin those, never these
+DP_VALUES_PINNED = {
+    "dp:alpha1": "2609c715604f11ea82bedb81dd9dafe3a3f10cef1609fe3b7afae53f2c6c6cc9",
+    "dp:chi1": "79407ef0e90f864e2b0152b83dda08daf3db19ee7aae44d817a398fabe192761",
+    "dp:omega1": "79407ef0e90f864e2b0152b83dda08daf3db19ee7aae44d817a398fabe192761",
+    "dp:theta1": "2609c715604f11ea82bedb81dd9dafe3a3f10cef1609fe3b7afae53f2c6c6cc9",
+    "dp-large:alpha1": "397ab45b2b76d67862f0835344bd23c4c704d2a13dfd1e46f41aeec3f20a39e7",
+    "dp-large:chi1": "0dbf37903b38804c12fc3c24c2aa0bce3ac8b7ce62f6001ebce4214e4fa397a4",
+    "dp-large:omega1": "0dbf37903b38804c12fc3c24c2aa0bce3ac8b7ce62f6001ebce4214e4fa397a4",
+    "dp-large:theta1": "397ab45b2b76d67862f0835344bd23c4c704d2a13dfd1e46f41aeec3f20a39e7",
+}
+
+
 def caterpillar(n):
     """A path on the even vertices with a pendant odd vertex on each."""
     spine = list(range(0, n, 2))
@@ -220,6 +235,14 @@ def test_search_digest_is_pinned(key):
     else:
         got = _digest(engine, which, int(s[0]))
     assert got == PINNED[key]
+
+
+@pytest.mark.parametrize("key", sorted(DP_VALUES_PINNED))
+def test_dp_values_are_pinned(key):
+    engine, which = key.split(":")
+    values = [dp_robust(G, make_nice(heuristic_decomposition(G), G), which).value
+              for G in _dp_graphs(engine)]
+    assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == DP_VALUES_PINNED[key]
 
 
 @pytest.mark.parametrize("key", sorted(BENCH_SHAPED_PINNED))
@@ -325,14 +348,17 @@ def test_removed_and_complement_masks_match_graph():
 
 def test_introduce_rows_never_collide():
     """An introduce writes its rows into the table without comparing them,
-    which is sound only because distinct (child state, choice) pairs give
-    distinct (arcs, pset).  Checked on every introduce node of the DP_GRAPHS
-    corpus over every child state: alpha1 keeps a row for each one."""
+    which is sound only because distinct (child (R, A), T) pairs give
+    distinct (R', A).  Checked on every introduce node of the DP_GRAPHS
+    corpus over every child state and every subset T of v's bag
+    neighbours: alpha1 keeps a row for each pair whose R' can be paid
+    for."""
     for spec in DP_GRAPHS:
         G = erdos_renyi(*spec)
+        edges = G.sorted_edges()
+        index = {e: i for i, e in enumerate(edges)}
         nice = make_nice(heuristic_decomposition(G), G)
         tables, nodes, _ = _run_dp(G, nice, _AlphaStrategy(G, nice.width))
-        index = {e: i for i, e in enumerate(G.sorted_edges())}
         for node, nd in enumerate(nodes):
             if nd.kind != "introduce":
                 continue
@@ -340,12 +366,13 @@ def test_introduce_rows_never_collide():
             v = nd.vertex
             bag_nbrs = sorted(u for u in G.adj[v] if u in nodes[c].bag)
             made = {}
-            for arcs, pset in {key[:2] for key in tables[c]}:
-                for add_arcs, add_p, choice, _ in _introduce_choices(index, v, bag_nbrs, pset):
-                    state = (arcs | add_arcs, pset | add_p)
-                    assert state not in made, (spec, node, made.get(state), choice)
-                    made[state] = ((arcs, pset), choice)
-            assert {key[:2] for key in tables[node]} == set(made), (spec, node)
+            for R, A in {key[:2] for key in tables[c]}:
+                for T in _subsets(bag_nbrs):
+                    state = (R | sum(1 << index[_norm(u, v)] for u in T), A)
+                    assert state not in made, (spec, node, made.get(state), T)
+                    made[state] = ((R, A), T)
+            kept = {state for state in made if _payable(edges, *state)}
+            assert {key[:2] for key in tables[node]} == kept, (spec, node)
 
 
 def test_chi_classes_ordered_by_lowest_vertex():

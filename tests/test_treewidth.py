@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,9 @@ from robusta import (Graph, complete, cycle, dp_robust, erdos_renyi,
 from robusta.certify import validate_result
 from robusta.exact import CapExceeded
 from robusta.graphio import ParseError
-from robusta.treewidth import (TreeDecomposition, _dominated_rows, _ThetaStrategy,
-                               dp_all)
+from robusta import treewidth
+from robusta.treewidth import (TreeDecomposition, _dominated_rows, _payable,
+                               _ThetaStrategy, dp_all)
 
 
 def test_heuristic_widths():
@@ -166,7 +168,9 @@ MERGED = (((0, 1), False),)
 
 
 def test_theta_dominance_predicate():
-    dominates = _ThetaStrategy.dominates
+    def dominates(pa, pb):
+        return _ThetaStrategy.dominates(pa, dict(pb))
+
     cheap = ((SPLIT, 1), (MERGED, 1))
     dear = ((SPLIT, 2),)
     # every partition of `dear` is in `cheap` at a cost <= dear's: drop cheap
@@ -198,6 +202,61 @@ def test_dominated_rows_keep_groups_apart():
     for key in dropped:
         del tbl[key]
     assert list(tbl) == [state_b + (cheap,), state_a + (other,), state_a + (dear,)]
+
+
+def _payable_by_brute_force(edges, A):
+    """Give each edge an endpoint outside the vertex mask A to pay for it,
+    each vertex paying at most once; True if some assignment works."""
+    def assign(i, spent):
+        return i == len(edges) or any(
+            not spent >> x & 1 and assign(i + 1, spent | 1 << x) for x in edges[i])
+    return assign(0, A)
+
+
+def test_payable_matches_brute_force_on_k5():
+    """The DP's feasibility rule (no component of R has more edges than
+    vertices outside A) against an explicit payer assignment, for every
+    edge subset R of K5 and every A of its vertices."""
+    edges = complete(5).sorted_edges()
+    answers = Counter()
+    for R in range(1 << len(edges)):
+        chosen = [e for i, e in enumerate(edges) if R >> i & 1]
+        for A in range(1 << 5):
+            want = _payable_by_brute_force(chosen, A)
+            assert _payable(edges, R, A) == want, (chosen, bin(A))
+            answers[want] += 1
+    assert answers[True] > 1000 and answers[False] > 1000, answers
+
+
+# heuristic width 3, 3 and 4, each with triangles
+WIDER_SPECS = [(7, 0.55, 2000), (8, 0.5, 2001), (6, 0.7, 2011)]
+
+
+def test_dp_matches_exact_on_wider_decompositions(monkeypatch):
+    """complete(5) (width 4), a maximal outerplanar graph (width 2) and
+    width 3-4 graphs with triangles, where forgotten vertices have two or
+    more removed bag edges, some of them after their own selection is
+    spent: the DP equals the exact tier and every certificate validates."""
+    cases = Counter()
+    settle = treewidth._forget_states
+
+    def counted(R, A, vbit, v_edges, other, feasible):
+        mine = (R & v_edges).bit_count()
+        cases["X >= 2"] += mine >= 2
+        cases["v in A"] += bool(mine and A & vbit)
+        return settle(R, A, vbit, v_edges, other, feasible)
+
+    monkeypatch.setattr(treewidth, "_forget_states", counted)
+    for G in [complete(5), maximal_outerplanar(9, 3)] + [erdos_renyi(*spec)
+                                                         for spec in WIDER_SPECS]:
+        nice = make_nice(heuristic_decomposition(G), G)
+        for which in ("chi1", "omega1", "alpha1", "theta1"):
+            res = dp_robust(G, nice, which)
+            assert res.value == robust_parameter(G, which[:-1], 1).value, (G.edges, which)
+            validate_result(G, {"parameter": res.parameter, "s": 1,
+                                "value": res.value,
+                                "certificate": res.certificate})
+    assert cases["X >= 2"] > 0 and cases["v in A"] > 0, cases
 
 
 def test_dp_pruned_corpus_matches_exact_and_certifies():
