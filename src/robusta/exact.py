@@ -443,30 +443,55 @@ def _color_classes(coloring: list[int]) -> list[int]:
     return [c for c in classes if c]
 
 
-def _cannot_beat(n: int, masks: list[int], which: str, best: int):
-    """Truthy when classical bounds show that `which` of the graph with
-    adjacency masks `masks` cannot strictly beat the incumbent `best >= 0`:
-    cannot go below it for chi, omega and chi_prime, nor above it for alpha
-    and theta.  Falsy means only that the bounds did not decide.
+def _clique_pairs(cliques: list[int]) -> list[tuple[int, int]]:
+    """Witness pairs of cliques given as vertex masks: (v, the members of
+    v's clique above v) for each v that has some."""
+    pairs = []
+    for c in cliques:
+        while c:
+            low = c & -c
+            c ^= low
+            if c:
+                pairs.append((low.bit_length() - 1, c))
+    return pairs
 
-    A decision for chi and omega returns its witness as a list of vertex
-    masks of cliques: one clique of at least `best` vertices; for theta, a
-    clique cover of at most `best` classes.  A decision with no such
-    witness (alpha, chi_prime, theta on no vertices) returns True."""
+
+def _cannot_beat(n: int, masks: list[int], which: str, best: int):
+    """(decided, witness) for the graph with adjacency masks `masks` and
+    the incumbent `best >= 0`.  decided is True when classical bounds show
+    that `which` cannot strictly beat best: cannot go below it for chi,
+    omega and chi_prime, nor above it for alpha and theta.  False means
+    only that the bounds did not decide.
+
+    A witness is a list of (v, need) pairs such that the same bound decides
+    every graph in which each v is still adjacent to all of need:
+      chi, omega    a clique of at least best vertices (greedy);
+      alpha, theta  a cover by at most best cliques (DSATUR on the
+                    complement; for theta, else an exact best-colouring);
+      chi_prime     the star of a vertex of degree at least best.
+    alpha's exact fallback, a clique search on the complement, decides
+    with witness None."""
     if which in ("chi", "omega"):
         clique = _greedy_clique(n, masks)
-        return len(clique) >= best and [sum(1 << v for v in clique)]
+        if len(clique) < best:
+            return False, None
+        return True, _clique_pairs([sum(1 << v for v in clique)])
     if which == "chi_prime":
-        return max((m.bit_count() for m in masks), default=0) >= best
+        for v, row in enumerate(masks):
+            if row.bit_count() >= best:
+                return True, [(v, row)]
+        return best == 0, None  # no vertices: the value is 0
+    if which not in ("alpha", "theta"):
+        raise ValueError(f"unknown robust parameter {which!r}")
     comp = _complement_masks(n, masks)
-    if which == "alpha":
-        return not _max_clique(n, comp, floor=best)[0]
-    if which == "theta":
-        coloring = _dsatur(n, comp)
-        if max(coloring, default=-1) >= best:  # more than best colours
-            coloring = _k_coloring(n, comp, best, _greedy_clique(n, comp))[0]
-        return coloring is not None and (_color_classes(coloring) or True)
-    raise ValueError(f"unknown robust parameter {which!r}")
+    coloring = _dsatur(n, comp)
+    if max(coloring, default=-1) >= best:  # more than best colours
+        if which == "alpha":
+            return not _max_clique(n, comp, floor=best)[0], None
+        coloring = _k_coloring(n, comp, best, _greedy_clique(n, comp))[0]
+        if coloring is None:
+            return False, None
+    return True, _clique_pairs(_color_classes(coloring))
 
 
 def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
@@ -592,9 +617,12 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
     max_static = max(static_cov) if static_cov else 0
     all_q = (1 << len(target_masks)) - 1
     F = RemovableSet(n, s)
+    can_add = F.can_add
     scan_cap = 128  # prunes stay sound when scans stop early
     nodes = 0
 
+    # the sweeps below write out their lowest-bit loops: a _bits generator
+    # frame per mask was the largest self cost of this search
     def rec(unhit: int, cand: int):  # cand: edges the subtree may add
         nonlocal nodes
         nodes += 1
@@ -603,9 +631,12 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
         if len(F.edges) >= budget:
             return None
         addset = 0
-        for ei in _bits(cand):
-            if F.can_add(edges[ei]):
-                addset |= 1 << ei
+        rest = cand
+        while rest:
+            low = rest & -rest
+            if can_add(edges[low.bit_length() - 1]):
+                addset |= low
+            rest ^= low
         if not addset:
             return None
         left = budget - len(F.edges)
@@ -613,7 +644,14 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
         if n_unhit > left * max_static:
             return None
         if n_unhit <= scan_cap:
-            maxcov = max((per_edge[ei] & unhit).bit_count() for ei in _bits(addset))
+            maxcov = 0
+            rest = addset
+            while rest:
+                low = rest & -rest
+                cov = (per_edge[low.bit_length() - 1] & unhit).bit_count()
+                if cov > maxcov:
+                    maxcov = cov
+                rest ^= low
             if maxcov == 0 or n_unhit > left * maxcov:
                 return None
         # greedy edge-disjoint packing: disjoint unhit targets need
@@ -621,11 +659,14 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
         packed = 0
         taken = 0
         scanned = 0
-        for qi in _bits(unhit):
+        rest = unhit
+        while rest:
+            low = rest & -rest
+            rest ^= low
             scanned += 1
             if scanned > scan_cap and packed <= left:
                 break
-            qm = target_masks[qi]
+            qm = target_masks[low.bit_length() - 1]
             if qm & taken:
                 continue
             if not (qm & addset):
@@ -638,8 +679,12 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
         # with the fewest, stopping at one or fewer
         pick = fewest = -1
         scanned = 0
-        for qi in _bits(unhit):
+        rest = unhit
+        while rest:
+            low = rest & -rest
+            rest ^= low
             scanned += 1
+            qi = low.bit_length() - 1
             cnt = (target_masks[qi] & addset).bit_count()
             if pick < 0 or cnt < fewest:
                 pick, fewest = qi, cnt
@@ -690,11 +735,14 @@ def _omega_robust(G: Graph, s: int):
 
 def _clique_partition_targets(G: Graph, B: int, bits: list[dict[int, int]]) -> list[int]:
     """Edge masks of the intra-class edges of every partition of V into
-    exactly B cliques of G, reduced to the inclusion-minimal masks.
+    exactly B cliques of G, fewest edges first.
 
     theta(G - F) > B holds iff F meets all of them: a cover of G - F is a
     clique partition of G avoiding F, and partitions with fewer classes
     only carry larger edge masks (splitting a class strictly shrinks one).
+    The masks are already inclusion-minimal: the classes are cliques of G,
+    so a mask says which pairs share a class, mask(P) <= mask(Q) means P
+    refines Q, and two B-class partitions refining each other are equal.
     """
     n = G.n
     adj = G.adjacency_masks()
@@ -712,8 +760,11 @@ def _clique_partition_targets(G: Graph, B: int, bits: list[dict[int, int]]) -> l
         for i, cls in enumerate(classes):
             if cls & adj[v] == cls:
                 add = 0
-                for u in _bits(cls):
-                    add |= row[u]
+                rest = cls
+                while rest:
+                    low = rest & -rest
+                    add |= row[low.bit_length() - 1]
+                    rest ^= low
                 classes[i] = cls | 1 << v
                 rec(v + 1, mask | add)
                 classes[i] = cls
@@ -723,15 +774,8 @@ def _clique_partition_targets(G: Graph, B: int, bits: list[dict[int, int]]) -> l
 
     rec(0, 0)
     # sorted() keeps set order on ties, so the targets' order depends on
-    # the order the masks were added in.  A kept mask inside `mask` has its
-    # lowest edge bit in `mask`, so only those buckets are searched.
-    kept: list[int] = []
-    buckets: dict[int, list[int]] = {}
-    for mask in sorted(masks, key=int.bit_count):
-        if not any(km & mask == km for b in _bits(mask) for km in buckets.get(b, ())):
-            kept.append(mask)
-            buckets.setdefault((mask & -mask).bit_length() - 1, []).append(mask)
-    return kept
+    # the order the masks were added in
+    return sorted(masks, key=int.bit_count)
 
 
 def _theta_robust(G: Graph, s: int):
@@ -919,26 +963,30 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
     The first F with the best value wins; a set that _cannot_beat the
     incumbent is counted but not evaluated.
 
-    The last clique or clique cover _cannot_beat returned is tried first:
-    while its classes stay cliques of G - F it still decides, because the
-    incumbent only moves one way (down for chi and omega, whose clique had
-    at least the old best vertices; up for theta, whose cover had at most
-    the old best classes)."""
+    G - F's masks are G's with F's edges cleared, O(|F|) per set.  The last
+    witness _cannot_beat returned is checked first: while every v is still
+    adjacent to its need in G - F, the witness still decides, because the
+    incumbent only moves one way (down for chi, omega and chi_prime, whose
+    clique or star had at least the old best vertices or neighbours; up for
+    alpha and theta, whose cover had at most the old best classes)."""
     t0 = time.perf_counter()
     minimize = _MINIMIZED[which]
+    adj = G.adjacency_masks()
     best = None
-    witness = None  # (v, the members of v's class above v) pairs
+    witness = None  # (v, need) pairs
     count = 0
     for F in enumerate_removable_sets(G, s, mode, edge_cap=edge_cap):
         count += 1
-        masks = _removed_masks(G, F)
-        if witness is not None and all(masks[v] & above == above for v, above in witness):
+        masks = adj.copy()
+        for u, v in F:
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
+        if witness is not None and all(masks[v] & need == need for v, need in witness):
             continue
         if best is not None:
-            decided = _cannot_beat(G.n, masks, which, best[0])
-            if isinstance(decided, list):
-                witness = [(v, above) for c in decided for v in _bits(c)
-                           if (above := c >> (v + 1) << (v + 1))]
+            decided, found = _cannot_beat(G.n, masks, which, best[0])
+            if found is not None:
+                witness = found
             if decided:
                 continue
         val, cert, _ = _classical_kernel(G.n, masks, which)

@@ -383,7 +383,10 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     branches on each edge in sorted order (take it if a RemovableSet accepts
     the push, then leave it), so feasibility costs one incremental push per
     branch; in mode 'maximal' it drops a branch that cannot reach the rank.
-    The guard caps keep the exponential walk at desk scale.
+    The tree is walked in one loop: `taken` holds the edge indices of F,
+    each a take decision whose leave branch is still to come, so
+    backtracking pops the last one and resumes just past it.  The guard
+    caps keep the exponential walk at desk scale.
     """
     if mode not in ("all", "maximal"):
         raise ValueError("mode must be 'all' or 'maximal'")
@@ -397,16 +400,18 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     m = len(edges)
     floor = len(maximal_extension(G, s)) if mode == "maximal" else 0
     F = RemovableSet(G.n, s)
-
-    def dfs(i: int):
-        if len(F.edges) + (m - i) < floor:
+    push, pop, held = F.push, F.pop, F.edges
+    taken: list[int] = []
+    i = 0
+    while True:
+        if len(held) + m - i >= floor:
+            if i < m:
+                if push(edges[i]):
+                    taken.append(i)
+                i += 1
+                continue
+            yield frozenset(held)
+        if not taken:
             return
-        if i == m:
-            yield frozenset(F.edges)
-            return
-        if F.push(edges[i]):
-            yield from dfs(i + 1)
-            F.pop()
-        yield from dfs(i + 1)
-
-    yield from dfs(0)
+        pop()
+        i = taken.pop() + 1

@@ -200,7 +200,7 @@ def test_cannot_beat_is_sound_on_all_small_graphs():
                 value = _classical_kernel(n, masks, which)[0]
                 minimize = which in ("chi", "omega", "chi_prime")
                 for best in range(n + 2):
-                    skip = _cannot_beat(n, masks, which, best)
+                    skip, _ = _cannot_beat(n, masks, which, best)
                     beats = value < best if minimize else value > best
                     assert not (skip and beats), (G.sorted_edges(), which, best)
                     if (best == 0) if minimize else (best >= n):
@@ -208,27 +208,47 @@ def test_cannot_beat_is_sound_on_all_small_graphs():
 
 
 def test_cannot_beat_witnesses_are_cliques():
-    """A list that the skip test returns is its reusable witness: for chi
-    and omega one clique of at least `best` vertices, for theta a cover of
-    all vertices by at most `best` disjoint cliques."""
+    """A witness that the skip test returns comes with a decision and holds
+    in the graph: its (v, need) pairs are edges of it.  For chi and omega
+    they span one clique of at least `best` vertices; for alpha and theta
+    they are the pairs of a cover of every vertex, once, by at most `best`
+    disjoint cliques; for chi_prime they are one star of at least `best`
+    edges."""
     for n in range(7):
         full = (1 << n) - 1
         for G in nonisomorphic_graphs(n):
             masks = G.adjacency_masks()
             for which in PARAMS:
                 for best in range(n + 2):
-                    witness = _cannot_beat(n, masks, which, best)
-                    if not isinstance(witness, list):
+                    decided, witness = _cannot_beat(n, masks, which, best)
+                    if witness is None:
                         continue
                     where = (G.sorted_edges(), which, best, witness)
-                    for c in witness:
+                    assert decided, where
+                    assert all(masks[v] & need == need for v, need in witness), where
+                    if which == "chi_prime":
+                        assert len(witness) == 1 and witness[0][1].bit_count() >= best, where
+                        continue
+                    # the classes the pairs describe: v with the members above it
+                    need_of = dict(witness)
+                    assert len(need_of) == len(witness), where
+                    inner = 0
+                    for _, need in witness:
+                        inner |= need
+                    classes = [1 << v | need_of.get(v, 0) for v in range(n)
+                               if not inner >> v & 1]
+                    assert sum(classes) == full, where
+                    assert sum(c.bit_count() for c in classes) == n, where
+                    for c in classes:
                         assert all((masks[v] | 1 << v) & c == c for v in _bits(c)), where
+                        assert all(need_of.get(v) == c >> (v + 1) << (v + 1)
+                                   for v in _bits(c) if c >> (v + 1)), where
                     if which in ("chi", "omega"):
-                        assert len(witness) == 1 and witness[0].bit_count() >= best, where
+                        cliques = [c for c in classes if c.bit_count() > 1]
+                        assert len(cliques) <= 1, where
+                        assert max((c.bit_count() for c in classes), default=0) >= best, where
                     else:
-                        assert which == "theta" and len(witness) <= best, where
-                        assert sum(witness) == full and all(witness), where
-                        assert sum(c.bit_count() for c in witness) == n, where
+                        assert which in ("alpha", "theta") and len(classes) <= best, where
 
 
 def _plain_enumerated(G, which, s, mode):

@@ -252,10 +252,10 @@ def test_bench_shaped_digest_is_pinned(key):
 
 
 @pytest.mark.parametrize("s", (1, 2))
-@pytest.mark.parametrize("which", ("chi", "omega", "theta"))
+@pytest.mark.parametrize("which", ("chi", "omega", "alpha", "theta", "chi_prime"))
 def test_oracle_reuses_cannot_beat_witnesses(monkeypatch, which, s):
-    """The oracle re-checks its last clique or clique cover on each set
-    before it asks the bounds again, so on the bench-shaped graphs the
+    """The oracle re-checks its last clique, clique cover or star on each
+    set before it asks the bounds again, so on the bench-shaped graphs the
     bounds run on at most a quarter of the sets (on all but the first of
     each graph without the reuse)."""
     calls = []

@@ -293,6 +293,48 @@ def test_enumerate_guard():
         list(enumerate_removable_sets(big, 1, "all"))
 
 
+def _recursive_walk(G, s, mode):
+    """The take-then-leave walk as nested generators: the reference order."""
+    edges = G.sorted_edges()
+    m = len(edges)
+    floor = len(maximal_extension(G, s)) if mode == "maximal" else 0
+    F = RemovableSet(G.n, s)
+
+    def dfs(i):
+        if len(F.edges) + (m - i) < floor:
+            return
+        if i == m:
+            yield frozenset(F.edges)
+            return
+        if F.push(edges[i]):
+            yield from dfs(i + 1)
+            F.pop()
+        yield from dfs(i + 1)
+
+    yield from dfs(0)
+
+
+def test_enumerate_walks_in_the_recursive_order():
+    """The one-loop walk yields the recursive walk's sets in its order, at
+    s = 0, 1, 2 in both modes, and still refuses graphs over the edge cap."""
+    rng = random.Random(2024)
+    graphs = 0
+    while graphs < 200:
+        n = rng.randint(0, 8)
+        G = erdos_renyi(n, rng.choice((0.2, 0.4, 0.6, 0.8)), rng.randrange(10**6))
+        if G.m > 14:
+            continue
+        graphs += 1
+        for s in (0, 1, 2):
+            for mode in ("all", "maximal"):
+                got = list(enumerate_removable_sets(G, s, mode))
+                assert got == list(_recursive_walk(G, s, mode)), (G.sorted_edges(), s, mode)
+    G = erdos_renyi(8, 0.6, 1)
+    for mode in ("all", "maximal"):
+        with pytest.raises(ValueError, match="enumeration guard"):
+            list(enumerate_removable_sets(G, 1, mode, edge_cap=G.m - 1))
+
+
 def test_maximal_connected_quasi_unicyclic_order5_classification():
     """The edge-maximal connected quasi-unicyclic graphs on 5 vertices are,
     up to isomorphism: the 5-cycle, the 4-cycle with a leaf, and a triangle
