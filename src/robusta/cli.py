@@ -581,6 +581,8 @@ def cmd_random_experiment(args) -> int:
     m, r, p, trials = args.m, args.r, args.p, args.trials
     if trials < 0:
         raise CliError(f"--trials must be non-negative, got {trials}")
+    if trials > HEADER_COUNT_CAP:
+        raise CliError(f"--trials {trials} above the limit {HEADER_COUNT_CAP}")
     if m * r > caps.robust_chi_n:
         raise CliError(f"order {m * r} exceeds the exact cap {caps.robust_chi_n}")
     hits = 0

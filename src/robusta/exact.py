@@ -5,8 +5,10 @@ scale (the defaults below), and a brute-force oracle tier that enumerates
 every removable edge set on small instances.  The oracle is deliberately
 dumb; the test suite uses it to certify the clever searches.  The oracle and
 the maximal-set tier run one evaluation loop and differ only in the
-enumeration mode.  Every "is F + e still removable" test, in every tier,
-goes through `selection.RemovableSet`.
+enumeration mode.  Every "is F + e still removable" test, in every tier and
+at every budget s, goes through `selection.RemovableSet`, one incremental
+orientation; `UnionFind` serves only the forest test of the arboricity
+search.
 
 Strategy notes for the robust (selection-adversarial) parameters:
 

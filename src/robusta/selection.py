@@ -3,15 +3,16 @@
 The key reformulation used throughout the solvers: an edge set F is the image
 of some selection with budget s exactly when (V, F) can be oriented with
 out-degree at most s everywhere (Hakimi).  For s = 1 that is the
-quasi-unicyclic (pseudoforest) condition, checkable per component by
-comparing edge and vertex counts; for larger budgets it is a path-reversal
-orientation test.  `RemovableSet` is the one incremental form of this test
-that every solver uses: push an edge if F + e stays removable, pop it on
-backtrack.  `orient_with_cap` runs the same orientation from scratch and
-returns the orientation or a density witness.  Searching over sparse edge
-sets instead of vertex-indexed selection mappings is what keeps the exact
-solvers feasible: the feasible sets form a downward-closed family, and a
-selection is reconstructed only at the end.
+quasi-unicyclic (pseudoforest) condition: every component keeps edges <=
+vertices.  `RemovableSet` is the one incremental form of this test that
+every solver uses, at every s: it keeps F with such an orientation, asks
+whether F + e still orients by a search along directed paths for a vertex
+with slack, pushes e by reversing one such path, and pops it on backtrack.
+`orient_with_cap` is a loop of pushes that returns the orientation or a
+density witness.  Searching over sparse edge sets instead of vertex-indexed
+selection mappings is what keeps the exact solvers feasible: the feasible
+sets form a downward-closed family, and a selection is reconstructed only at
+the end.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ def _norm(e: Iterable[int]) -> Edge:
 class UnionFind:
     """Union-find with per-root vertex/edge counters and an undo stack.
 
-    add_edge answers, in amortized near-constant time, whether the growing
-    edge set stays a pseudoforest (every component keeps edges <= vertices).
-    No path compression so that operations can be rolled back exactly.
+    add_edge answers whether the growing edge set stays a pseudoforest
+    (every component keeps edges <= vertices).  The solvers use it only as a
+    forest test (`exact._mask_forest`, the arboricity certificate), which
+    compares roots before each add; removability at every s is
+    `RemovableSet`'s.  No path compression, so that checkpoint/rollback undo
+    exactly; only the `perfbench` primitive timing calls them.
     """
 
     def __init__(self, n: int):
@@ -157,28 +161,58 @@ def is_quasi_unicyclic(G: Graph) -> bool:
     return all(F.push(e) for e in G.edges)
 
 
-class _Orientation:
-    """An orientation with out-degree <= cap, grown one edge at a time.
+class RemovableSet:
+    """A growing edge set F kept removable at budget s, with undo.
 
-    Each push orients the new edge away from the endpoint of smaller
-    out-degree; if that tail goes over the cap, one breadth-first hunt along
-    directed paths finds a vertex with slack and reverses the path to it.
-    When no such vertex is reachable, the reachable set carries more than
-    cap * |set| edges (the density obstruction): the push is undone and the
-    set is kept as `witness`.  pop() only drops the last arc: that keeps
-    every out-degree within the cap, and the push test is exact from any
-    valid orientation, so the reversals need no undo.
+    F is removable (the edge image of some s-selection) iff F can be
+    oriented with out-degree <= s (Hakimi); the class keeps F with such an
+    orientation at every s (at s = 1 that is the pseudoforest test, and at
+    s = 0 no vertex has slack).  can_add(e) says whether an endpoint of e,
+    or a vertex reached from one along directed paths, has out-degree below
+    s.  It writes nothing but, on a no, `witness`: the reached set, which
+    spans more than s times its size of the edges of F + e.  push(e) adds e
+    when can_add(e) holds: e leaves the endpoint of smaller out-degree, and
+    if that tail goes over s, one breadth-first hunt finds a vertex with
+    slack and reverses the path to it.  pop() drops the last edge and its
+    arc; out-degrees stay within s, and can_add is exact from any valid
+    orientation, so the reversals need no undo.  `edges` lists F in push
+    order, and heads[i] is the head of edges[i].
     """
 
-    def __init__(self, n: int, cap: int):
-        self.cap = cap
+    def __init__(self, n: int, s: int):
+        if s < 0:
+            raise ValueError("budget must be non-negative")
+        self.cap = s
+        self.edges: list[Edge] = []
         self.outdeg = [0] * n
         self.tails: list[int] = []
-        self.heads: list[int] = []  # heads[i] is the head of the i-th pushed edge
+        self.heads: list[int] = []
         self.out_arcs: list[set[int]] = [set() for _ in range(n)]
         self.witness: set[int] | None = None
 
-    def push(self, u: int, v: int) -> bool:
+    def can_add(self, e: Edge) -> bool:
+        u, v = e
+        outdeg, cap = self.outdeg, self.cap
+        if outdeg[u] < cap or outdeg[v] < cap:
+            return True
+        out_arcs, heads = self.out_arcs, self.heads
+        reached = {u, v}
+        stack = [u, v]
+        while stack:
+            for a in out_arcs[stack.pop()]:
+                y = heads[a]
+                if y not in reached:
+                    if outdeg[y] < cap:
+                        return True
+                    reached.add(y)
+                    stack.append(y)
+        self.witness = reached
+        return False
+
+    def push(self, e: Edge) -> bool:
+        if not self.can_add(e):
+            return False
+        u, v = e
         outdeg, tails, heads, out_arcs = self.outdeg, self.tails, self.heads, self.out_arcs
         cap = self.cap
         aid = len(heads)
@@ -192,7 +226,7 @@ class _Orientation:
             visited = {tail}
             queue = deque([tail])
             target = None
-            while queue and target is None:
+            while target is None:
                 x = queue.popleft()
                 for a in out_arcs[x]:
                     y = heads[a]
@@ -204,10 +238,6 @@ class _Orientation:
                         target = y
                         break
                     queue.append(y)
-            if target is None:
-                self.witness = visited
-                self.pop()
-                return False
             y = target
             while y != tail:
                 a = parent_arc[y]
@@ -218,69 +248,16 @@ class _Orientation:
                 out_arcs[y].add(a)
                 outdeg[y] += 1
                 y = t
+        self.edges.append(e)
         return True
 
-    def pop(self) -> None:
+    def pop(self) -> Edge:
         aid = len(self.heads) - 1
         tail = self.tails.pop()
         self.heads.pop()
         self.out_arcs[tail].discard(aid)
         self.outdeg[tail] -= 1
-
-
-class RemovableSet:
-    """A growing edge set F kept removable at budget s, with undo.
-
-    F is removable (the edge image of some s-selection) iff F can be oriented
-    with out-degree <= s (Hakimi).  push(e) adds e and returns True when F + e
-    is still removable, and otherwise returns False leaving F unchanged; pop()
-    removes the last pushed edge; can_add(e) asks without changing F.  The
-    budget picks the test: for s = 1 the rollback UnionFind (pseudoforest:
-    every component keeps edges <= vertices), for s >= 2 one path-reversal
-    step of an incremental orientation per push, and at s = 0 no edge is
-    removable.  `edges` lists F in push order.
-    """
-
-    def __init__(self, n: int, s: int):
-        if s < 0:
-            raise ValueError("budget must be non-negative")
-        self.edges: list[Edge] = []
-        self._uf = UnionFind(n) if s == 1 else None
-        self._orientation = _Orientation(n, s) if s >= 2 else None
-
-    def push(self, e: Edge) -> bool:
-        uf = self._uf
-        if uf is not None:
-            # only an accepted edge is written: one trail entry per push
-            if not self.can_add(e):
-                return False
-            uf.add_edge(*e)
-        elif self._orientation is None or not self._orientation.push(*e):
-            return False
-        self.edges.append(e)
-        return True
-
-    def pop(self) -> Edge:
-        uf = self._uf
-        if uf is not None:
-            uf.rollback(len(uf.trail) - 1)
-        else:
-            self._orientation.pop()
         return self.edges.pop()
-
-    def can_add(self, e: Edge) -> bool:
-        uf = self._uf
-        if uf is not None:
-            # the hot test of the s = 1 searches: read the component
-            # counters, write nothing (add_edge's answer without the undo)
-            ru, rv = uf.find(e[0]), uf.find(e[1])
-            if ru == rv:
-                return uf.edges[ru] < uf.verts[ru]
-            return uf.edges[ru] + uf.edges[rv] < uf.verts[ru] + uf.verts[rv]
-        if not self.push(e):
-            return False
-        self.pop()
-        return True
 
 
 def orient_with_cap(n: int, edges: Sequence[Edge], cap: int):
@@ -296,11 +273,11 @@ def orient_with_cap(n: int, edges: Sequence[Edge], cap: int):
         if not edges:
             return [], None
         return None, sorted({v for e in edges for v in e})
-    orientation = _Orientation(n, cap)
-    for u, v in edges:
-        if not orientation.push(u, v):
-            return None, sorted(orientation.witness)
-    return orientation.heads, None
+    F = RemovableSet(n, cap)
+    for e in edges:
+        if not F.push(e):
+            return None, sorted(F.witness)
+    return F.heads, None
 
 
 def is_removable(F: Iterable[Edge], G: Graph, s: int):
@@ -350,11 +327,7 @@ def selection_digraph(G: Graph, f: SSelection) -> list[tuple[int, int]]:
     if f.s != 1:
         raise ValueError("selection digraph is defined for s = 1 only")
     f.validate(G)
-    arcs = []
-    for v, edges in enumerate(f.assignment):
-        for u, w in edges:
-            arcs.append((v, w if u == v else u))
-    return sorted(arcs)
+    return f.to_pairs()
 
 
 def maximal_extension(G: Graph, s: int, F: frozenset[Edge] = frozenset()) -> frozenset[Edge]:

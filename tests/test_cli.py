@@ -440,6 +440,8 @@ def test_non_numeric_value_names_its_field_exit3(tmp_path, capsys, argv, message
 @pytest.mark.parametrize("argv, message", [
     (["random-experiment", "--m", "2", "--r", "2", "--p", "0.5", "--trials", "-3",
       "--seed", "1"], "--trials must be non-negative, got -3"),
+    (["random-experiment", "--m", "2", "--r", "2", "--p", "0.5", "--trials", "100001",
+      "--seed", "1"], "--trials 100001 above the limit 100000"),
     (["explore", "--n-max", "-2"], "--n-max must be at least 1, got -2"),
     (["verify", "--suite", "sandwich", "--corpus", "random:2,3,0.4", "--seed", "1"],
      "corpus n_max must be at least 4, got 3"),
@@ -457,9 +459,9 @@ def test_non_numeric_value_names_its_field_exit3(tmp_path, capsys, argv, message
      "--s-list: expected an integer, got 'x'"),
     (["compute", "--gen", "complete:448", "--param", "chi"],
      "generator 'complete': 100128 vertex pairs above the limit 100000"),
-], ids=["trials", "n-max", "corpus-n-max", "corpus-count", "corpus-p-range",
-        "corpus-count-integer", "corpus-n-max-integer", "corpus-p-number",
-        "s-list", "gen-order"])
+], ids=["trials", "trials-limit", "n-max", "corpus-n-max", "corpus-count",
+        "corpus-p-range", "corpus-count-integer", "corpus-n-max-integer",
+        "corpus-p-number", "s-list", "gen-order"])
 def test_bad_number_names_its_option_exit3(capsys, argv, message):
     code, report = run_cli([*argv, "--no-timing"])
     assert code == 3 and report is None
@@ -480,6 +482,14 @@ def test_verify_corpus_bounds_checked_before_drawing(monkeypatch, capsys, corpus
                             "--seed", "1", "--no-timing"])
     assert code == 3 and report is None
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_random_experiment_trials_checked_before_drawing(monkeypatch, capsys):
+    monkeypatch.setattr("robusta.cli.random_multipartite", _refuse)
+    code, report = run_cli(["random-experiment", "--m", "2", "--r", "2", "--p", "0.5",
+                            "--trials", "100000000", "--seed", "1", "--no-timing"])
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == "error: --trials 100000000 above the limit 100000\n"
 
 
 def test_verify_corpus_draws_each_graph_after_the_one_before(monkeypatch, capsys):

@@ -290,27 +290,18 @@ def test_exact_values_are_pinned(key):
 def test_exact_searches_reach_no_edge_set_twice(monkeypatch):
     """The omega_s and theta_s hitting searches and chi'_s phase 1 partition
     their search spaces: within one search (one RemovableSet) no removed
-    edge set is pushed twice.  At s >= 2 can_add is a push and a pop; those
-    probes are not counted."""
+    edge set is pushed twice."""
     searches: list[list[frozenset]] = []
 
     class Recording(exact.RemovableSet):
         def __init__(self, n, s):
             super().__init__(n, s)
-            self.probing = False
             self.reached: list[frozenset] = []
             searches.append(self.reached)
 
-        def can_add(self, e):
-            self.probing = True
-            try:
-                return super().can_add(e)
-            finally:
-                self.probing = False
-
         def push(self, e):
             ok = super().push(e)
-            if ok and not self.probing:
+            if ok:
                 self.reached.append(frozenset(self.edges))
             return ok
 

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -9,7 +12,8 @@ from robusta import (Graph, SSelection, apply_selection, complete, cycle,
                      selection_digraph, selection_from_edge_set)
 from robusta.exact import canonical_form
 from robusta.graph import star
-from robusta.selection import RemovableSet, maximal_extension
+from robusta.poly import min_outdegree_orientation, quasi_unicyclic_edge_decomposition
+from robusta.selection import RemovableSet, maximal_extension, orient_with_cap
 
 
 def test_quasi_unicyclic_basics():
@@ -51,12 +55,10 @@ def test_is_removable_matches_exhaustive_orientations():
 
 
 def _removable_state(F):
-    """F's edges and, at s = 1, the whole union-find state."""
-    uf = F._uf
-    if uf is None:
-        return list(F.edges), None
-    return list(F.edges), (list(uf.trail), uf.parent[:], uf.rank[:],
-                           uf.edges[:], uf.verts[:])
+    """F's edges and the whole orientation; `witness` is left out, since
+    can_add and a rejected push may write it."""
+    return (list(F.edges), list(F.tails), list(F.heads), list(F.outdeg),
+            [set(arcs) for arcs in F.out_arcs])
 
 
 def _can_add_each(F, edges):
@@ -71,7 +73,7 @@ def _can_add_each(F, edges):
 
 def test_removable_set_matches_exhaustive_orientations():
     """Random push/pop/can_add walks; every answer is checked against the
-    brute force, can_add must leave F and its union-find untouched, and
+    brute force, can_add must leave F and its orientation untouched, and
     pop() must restore every can_add answer."""
     rng = random.Random(2024)
     cases = [(erdos_renyi(6, 0.6, seed), s) for seed in range(8) for s in (0, 1, 2, 3)]
@@ -113,36 +115,26 @@ def test_removable_set_matches_exhaustive_orientations():
                 assert _can_add_each(F, outside) == answers
 
 
-class _LoggedTrail(list):
-    """A union-find trail that records every append and pop."""
-
-    def __init__(self, items, log):
-        super().__init__(items)
-        self.log = log
-
-    def append(self, item):
-        self.log.append("append")
-        super().append(item)
-
-    def pop(self, *args):
-        self.log.append("pop")
-        return super().pop(*args)
+def _two_dense_blocks(k):
+    """Two disjoint K_k on 0..k-1 and k..2k-1: k(k-1)/2 = s * k edges each
+    at s = (k - 1) / 2, so each block is removable with no slack left."""
+    return [e for base in (0, k) for e in itertools.combinations(range(base, base + k), 2)]
 
 
-def test_rejected_push_leaves_the_trail_untouched():
-    """At s = 1 a rejected push writes nothing to the union-find; an
-    accepted push leaves one trail entry and pop takes back just that."""
-    F = RemovableSet(7, 1)
-    for e in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:  # two triangles
-        assert F.push(e)
-    log = []
-    F._uf.trail = _LoggedTrail(F._uf.trail, log)
-    before = _removable_state(F)
-    assert not F.push((0, 3))  # joins two components with edges == vertices
-    assert log == [] and _removable_state(F) == before
-    assert F.push((0, 6))  # a triangle plus a new vertex: 4 edges, 4 vertices
-    F.pop()
-    assert log == ["append", "pop"] and _removable_state(F) == before
+def test_rejected_push_leaves_the_state_untouched():
+    """At s = 1 and s = 2 a rejected push writes nothing but the witness,
+    the reached set; an accepted push followed by pop restores the state."""
+    for s, k in [(1, 3), (2, 5)]:
+        F = RemovableSet(2 * k + 1, s)
+        for e in _two_dense_blocks(k):
+            assert F.push(e)
+        before = _removable_state(F)
+        assert not F.push((0, k))  # joins the blocks: s * 2k + 1 edges on 2k vertices
+        assert _removable_state(F) == before
+        assert F.witness == set(range(2 * k))
+        assert F.push((0, 2 * k))  # the new vertex has slack
+        F.pop()
+        assert _removable_state(F) == before
 
 
 def test_is_removable_examples():
@@ -366,3 +358,29 @@ def test_star_edge_set_is_removable():
     s = star(9)
     ok, _ = is_removable(s.edges, s, 1)
     assert ok  # the whole star is a tree, hence a valid selection image
+
+
+# sha256 over the public orientation outputs on 198 seeded graphs (n = 2-12,
+# six densities, three seeds): orient_with_cap's (heads, witness) at caps
+# 0-3, min_outdegree_orientation and quasi_unicyclic_edge_decomposition.
+# The heads depend on which paths the incremental orientation reverses, so
+# this pins the orientation code itself, not only its yes/no answers.
+ORIENTATION_PINNED = "9e4e61c1f1328a50c639f9ecc5bf5ed6ff049e10dd81d773aeb42e20ff40d01b"
+
+
+def _orientation_digest():
+    h = hashlib.sha256()
+    for n in range(2, 13):
+        for p in (0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+            for seed in range(3):
+                G = erdos_renyi(n, p, seed)
+                edges = G.sorted_edges()
+                rows = [orient_with_cap(n, edges, cap) for cap in range(4)]
+                rows.append(dataclasses.asdict(min_outdegree_orientation(G)))
+                rows.append(dataclasses.asdict(quasi_unicyclic_edge_decomposition(G)))
+                h.update(json.dumps(rows).encode())
+    return h.hexdigest()
+
+
+def test_orientation_outputs_are_pinned():
+    assert _orientation_digest() == ORIENTATION_PINNED
