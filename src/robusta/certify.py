@@ -36,6 +36,17 @@ def _check_removed(G: Graph, cert: dict, s: int) -> frozenset:
     return F
 
 
+def _check_vertices(G: Graph, vertices, what: str) -> None:
+    """Raise unless `vertices` lists distinct vertices of G, each in 0..n-1."""
+    seen: set[int] = set()
+    for v in vertices:
+        if type(v) is not int or not 0 <= v < G.n:
+            raise CertificateError(f"{what} names {v!r}, not a vertex of the graph")
+        if v in seen:
+            raise CertificateError(f"{what} repeats vertex {v}")
+        seen.add(v)
+
+
 def validate_result(G: Graph, result: dict) -> None:
     """Raise CertificateError unless the certificate achieves the value."""
     param = result["parameter"]
@@ -62,6 +73,7 @@ def validate_result(G: Graph, result: dict) -> None:
                 raise CertificateError("partition does not cover the vertices")
     elif param == "omega":
         clique = cert["clique"]
+        _check_vertices(G, clique, "clique")
         if len(clique) != value:
             raise CertificateError("clique size differs from the value")
         for i, u in enumerate(clique):
@@ -71,6 +83,7 @@ def validate_result(G: Graph, result: dict) -> None:
                     raise CertificateError(f"clique pair ({u},{v}) is not a surviving edge")
     elif param == "alpha":
         S = cert["independent_set"]
+        _check_vertices(G, S, "independent set")
         if len(S) != value:
             raise CertificateError("independent set size differs from the value")
         for i, u in enumerate(S):
@@ -137,6 +150,7 @@ def validate_result(G: Graph, result: dict) -> None:
         if worst > value:
             raise CertificateError("ordering exceeds the claimed degeneracy")
     elif param == "iota":
+        _check_vertices(G, cert["inducing_set"], "inducing set")
         W = set(cert["inducing_set"])
         if len(W) != value:
             raise CertificateError("inducing set size differs from the value")

@@ -496,6 +496,17 @@ def _cannot_beat(n: int, masks: list[int], which: str, best: int):
     return True, _clique_pairs(_color_classes(coloring))
 
 
+def _witness_mask(bits: list[dict[int, int]], witness) -> int:
+    """Edge mask (over `bits`, from _edge_bits) of the pairs v-u, u in need,
+    of a witness whose pairs are all edges of the graph."""
+    mask = 0
+    for v, need in witness:
+        row = bits[v]
+        for u in _bits(need):
+            mask |= row[u]
+    return mask
+
+
 def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
     t0 = time.perf_counter()
     if which == "arboricity":
@@ -965,37 +976,47 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
     The first F with the best value wins; a set that _cannot_beat the
     incumbent is counted but not evaluated.
 
-    G - F's masks are G's with F's edges cleared, O(|F|) per set.  The last
-    witness _cannot_beat returned is checked first: while every v is still
-    adjacent to its need in G - F, the witness still decides, because the
-    incumbent only moves one way (down for chi, omega and chi_prime, whose
-    clique or star had at least the old best vertices or neighbours; up for
-    alpha and theta, whose cover had at most the old best classes)."""
+    F arrives as an edge-bit int over G.sorted_edges().  The last witness
+    _cannot_beat returned is kept as the edge mask of its (v, need) pairs,
+    all edges of G, and checked first: while F takes none of them, every v
+    is still adjacent to its need in G - F and the witness still decides,
+    because the incumbent only moves one way (down for chi, omega and
+    chi_prime, whose clique or star had at least the old best vertices or
+    neighbours; up for alpha and theta, whose cover had at most the old best
+    classes).  Only a set that the witness does not decide gets G - F's
+    masks, G's with F's edges cleared, and only the winner its edge list."""
     t0 = time.perf_counter()
     minimize = _MINIMIZED[which]
+    n = G.n
+    edges = G.sorted_edges()
     adj = G.adjacency_masks()
+    bits = _edge_bits(G)
     best = None
-    witness = None  # (v, need) pairs
+    wmask = None  # edge mask of the last witness
     count = 0
-    for F in enumerate_removable_sets(G, s, mode, edge_cap=edge_cap):
+    for Fb in enumerate_removable_sets(G, s, mode, edge_cap=edge_cap):
         count += 1
+        if wmask is not None and not Fb & wmask:
+            continue
         masks = adj.copy()
-        for u, v in F:
+        f = Fb
+        while f:
+            low = f & -f
+            u, v = edges[low.bit_length() - 1]
             masks[u] ^= 1 << v
             masks[v] ^= 1 << u
-        if witness is not None and all(masks[v] & need == need for v, need in witness):
-            continue
+            f ^= low
         if best is not None:
-            decided, found = _cannot_beat(G.n, masks, which, best[0])
+            decided, found = _cannot_beat(n, masks, which, best[0])
             if found is not None:
-                witness = found
+                wmask = _witness_mask(bits, found)
             if decided:
                 continue
-        val, cert, _ = _classical_kernel(G.n, masks, which)
+        val, cert, _ = _classical_kernel(n, masks, which)
         if best is None or (val < best[0] if minimize else val > best[0]):
-            best = (val, F, cert)
-    val, F, cert = best
-    cert["removed_edges"] = [list(e) for e in sorted(F)]
+            best = (val, Fb, cert)
+    val, Fb, cert = best
+    cert["removed_edges"] = [list(edges[i]) for i in _bits(Fb)]
     elapsed = (time.perf_counter() - t0) * 1000
     return ParameterResult(which, s, val, cert,
                            {"nodes": count, "elapsed_ms": elapsed})
@@ -1068,23 +1089,16 @@ def canonical_form(G: Graph) -> str:
         return "n0:"
     masks = G.adjacency_masks()
     best: list[int] | None = None
-    perm: list[int] = []
     rows: list[int] = []
+    nbrs = [list(_bits(m)) for m in masks]
+    row_of = [0] * n  # bit j: adjacent to the vertex placed at position j
     used = 0
 
     def candidates():
-        cands = []
-        for v in range(n):
-            if (used >> v) & 1:
-                continue
-            row = 0
-            for j, u in enumerate(perm):
-                if (masks[v] >> u) & 1:
-                    row |= 1 << j
-            cands.append((row, v))
+        cands = [(row_of[v], v) for v in range(n) if not (used >> v) & 1]
         if not cands:
             return []
-        best_row = min(r for r, _ in cands)
+        best_row = min(cands)[0]
         chosen = [v for r, v in cands if r == best_row]
         # drop twins: interchangeable vertices lead to identical completions
         kept: list[int] = []
@@ -1101,7 +1115,7 @@ def canonical_form(G: Graph) -> str:
 
     def rec():
         nonlocal best, used
-        pos = len(perm)
+        pos = len(rows)
         if pos == n:
             if best is None or rows < best:
                 best = rows[:]
@@ -1111,13 +1125,16 @@ def canonical_form(G: Graph) -> str:
                 prefix = rows + [row]
                 if prefix > best[:pos + 1]:
                     continue
-            perm.append(v)
             rows.append(row)
             used |= 1 << v
+            bit = 1 << pos
+            for w in nbrs[v]:
+                row_of[w] |= bit
             rec()
+            for w in nbrs[v]:
+                row_of[w] ^= bit
             used &= ~(1 << v)
             rows.pop()
-            perm.pop()
 
     rec()
     payload = "".join(format(r, "x") + "." for r in best)

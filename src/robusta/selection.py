@@ -9,10 +9,12 @@ every solver uses, at every s: it keeps F with such an orientation, asks
 whether F + e still orients by a search along directed paths for a vertex
 with slack, pushes e by reversing one such path, and pops it on backtrack.
 `orient_with_cap` is a loop of pushes that returns the orientation or a
-density witness.  Searching over sparse edge sets instead of vertex-indexed
-selection mappings is what keeps the exact solvers feasible: the feasible
-sets form a downward-closed family, and a selection is reconstructed only at
-the end.
+density witness, and `enumerate_removable_sets` a walk of pushes and pops
+that yields each removable set as an edge-bit int over `G.sorted_edges()`,
+the edge index the exact solvers share.  Searching over sparse edge sets
+instead of vertex-indexed selection mappings is what keeps the exact
+solvers feasible: the feasible sets form a downward-closed family, and a
+selection is reconstructed only at the end.
 """
 
 from __future__ import annotations
@@ -348,8 +350,9 @@ DEFAULT_ENUM_MAXIMAL_EDGE_CAP = 24
 
 
 def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
-                             edge_cap: int | None = None) -> Iterator[frozenset[Edge]]:
-    """Stream the removable edge sets of G at budget s.
+                             edge_cap: int | None = None) -> Iterator[int]:
+    """Stream the removable edge sets of G at budget s, each as an edge-bit
+    int: bit i is set when F holds edge i of G.sorted_edges().
 
     mode 'all' yields every removable set exactly once; 'maximal' yields
     exactly the inclusion-maximal ones, the sets of rank size.  The walk
@@ -358,8 +361,8 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     branch; in mode 'maximal' it drops a branch that cannot reach the rank.
     The tree is walked in one loop: `taken` holds the edge indices of F,
     each a take decision whose leave branch is still to come, so
-    backtracking pops the last one and resumes just past it.  The guard
-    caps keep the exponential walk at desk scale.
+    backtracking pops the last one, clears its bit and resumes just past
+    it.  The guard caps keep the exponential walk at desk scale.
     """
     if mode not in ("all", "maximal"):
         raise ValueError("mode must be 'all' or 'maximal'")
@@ -373,18 +376,22 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     m = len(edges)
     floor = len(maximal_extension(G, s)) if mode == "maximal" else 0
     F = RemovableSet(G.n, s)
-    push, pop, held = F.push, F.pop, F.edges
+    push, pop = F.push, F.pop
     taken: list[int] = []
+    bits = 0
     i = 0
     while True:
-        if len(held) + m - i >= floor:
+        if len(taken) + m - i >= floor:
             if i < m:
                 if push(edges[i]):
                     taken.append(i)
+                    bits |= 1 << i
                 i += 1
                 continue
-            yield frozenset(held)
+            yield bits
         if not taken:
             return
         pop()
-        i = taken.pop() + 1
+        i = taken.pop()
+        bits ^= 1 << i
+        i += 1

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from robusta import Graph, erdos_renyi
+from robusta import Graph, enumerate_removable_sets, erdos_renyi
 
 
 def brute_force_decomposition_value(G: Graph) -> int:
@@ -13,6 +13,14 @@ def brute_force_decomposition_value(G: Graph) -> int:
             e = G.induced_edge_count(U)
             best = max(best, -(-e // k))
     return best
+
+
+def removable_edge_sets(G: Graph, *args, **kw):
+    """enumerate_removable_sets(G, ...) with each edge-bit int decoded to
+    the frozenset of its edges of G.sorted_edges()."""
+    edges = G.sorted_edges()
+    for bits in enumerate_removable_sets(G, *args, **kw):
+        yield frozenset(e for i, e in enumerate(edges) if bits >> i & 1)
 
 
 def random_corpus(count, sizes, ps, seed0=0):

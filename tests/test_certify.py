@@ -14,7 +14,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robusta import Graph, cli, path, robust_parameter
+from robusta import Graph, cli, complete, path, robust_parameter
 from robusta.certify import CertificateError, _main, validate_result
 from robusta.exact import classical_parameter, iota
 from robusta.graphio import write_dimacs
@@ -151,6 +151,36 @@ def test_certify_main_rejects_bad_removed_set(field, value, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert re.search(message, err), err
+
+
+@pytest.mark.parametrize("graph, result, message", [
+    (complete(3), {"parameter": "alpha", "s": 1, "value": 3,
+                   "certificate": {"removed_edges": [], "independent_set": [0, 0, 0]}},
+     "independent set repeats vertex 0"),
+    (complete(3), {"parameter": "alpha", "s": 1, "value": 2,
+                   "certificate": {"removed_edges": [], "independent_set": [0, 7]}},
+     "independent set names 7, not a vertex of the graph"),
+    (complete(3), {"parameter": "omega", "s": 1, "value": 1,
+                   "certificate": {"removed_edges": [], "clique": [9]}},
+     "clique names 9, not a vertex of the graph"),
+    (Graph(0), {"parameter": "omega", "s": 1, "value": 1,
+                "certificate": {"removed_edges": [], "clique": [0]}},
+     "clique names 0, not a vertex of the graph"),
+    (path(3), {"parameter": "iota", "s": 1, "value": 4,
+               "certificate": {"inducing_set": [0, 1, 2, 5]}},
+     "inducing set names 5, not a vertex of the graph"),
+], ids=["alpha-repeated", "alpha-out-of-range", "omega-out-of-range",
+        "omega-empty-graph", "iota-out-of-range"])
+def test_vertex_lists_name_distinct_vertices(graph, result, message):
+    """A clique, independent set or inducing set that repeats a vertex or
+    names one outside 0..n-1 is invalid, even where its pairs and its size
+    would pass: validate_result raises and certify exits 2."""
+    with pytest.raises(CertificateError, match=message):
+        validate_result(graph, result)
+    code, out, err = _certify(result, graph)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err, err
 
 
 @functools.cache

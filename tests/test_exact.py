@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,9 +11,12 @@ from robusta import (CapExceeded, Graph, canonical_form, classical_parameter,
 from robusta.certify import CertificateError, validate_result
 from robusta.exact import (SolverCaps, _bits, _cannot_beat, _classical_kernel,
                            _clique_partition_targets, _cliques_of_size, _edge_bits,
-                           _hit_all_targets, _min_max_degree, _removed_masks)
+                           _hit_all_targets, _min_max_degree, _removed_masks,
+                           _witness_mask)
 from robusta.filters import nonisomorphic_graphs
 from robusta.selection import enumerate_removable_sets
+
+from conftest import removable_edge_sets
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 
@@ -133,7 +137,7 @@ BRUTE_GRAPHS = [(n, p, 10 * n + seed) for n in range(3, 8) for p in (0.5, 0.7)
 def _removable_masks(G, s):
     """Edge-bit masks (bit i: edge i of G.sorted_edges()) of every removable set."""
     index = {e: i for i, e in enumerate(G.sorted_edges())}
-    return index, {sum(1 << index[e] for e in F) for F in enumerate_removable_sets(G, s)}
+    return index, set(enumerate_removable_sets(G, s))
 
 
 @pytest.mark.parametrize("s", (1, 2))
@@ -251,12 +255,40 @@ def test_cannot_beat_witnesses_are_cliques():
                         assert which in ("alpha", "theta") and len(classes) <= best, where
 
 
+def test_witness_edge_mask_skips_exactly_where_its_pairs_hold():
+    """The enumeration tiers skip a set F that takes no edge of the last
+    witness's edge mask.  That is the pair rule, each v still adjacent to
+    all of its need in G - F: checked for every witness _cannot_beat
+    returns on some G - F, at every incumbent, against every removable F."""
+    graphs = [erdos_renyi(n, 0.4, 40 + seed) for n in range(4, 8) for seed in range(3)]
+    graphs = [G for G in graphs if G.m <= 9]
+    assert len(graphs) >= 8 and max(G.n for G in graphs) == 7
+    checked = 0
+    for G in graphs:
+        n, edges, bits = G.n, G.sorted_edges(), _edge_bits(G)
+        for s in (1, 2):
+            # (F as edge bits, adjacency masks of G - F)
+            removed = [(F, _removed_masks(G, [edges[i] for i in _bits(F)]))
+                       for F in enumerate_removable_sets(G, s)]
+            for which in PARAMS:
+                witnesses = {tuple(w) for _, masks in removed for best in range(n + 2)
+                             for w in [_cannot_beat(n, masks, which, best)[1]]
+                             if w is not None}
+                for w in witnesses:
+                    wmask = _witness_mask(bits, w)
+                    for F, masks in removed:
+                        pairs_hold = all(masks[v] & need == need for v, need in w)
+                        assert (not F & wmask) == pairs_hold, (edges, s, which, w, F)
+                        checked += 1
+    assert checked > 10_000
+
+
 def _plain_enumerated(G, which, s, mode):
     """The enumeration tiers with no skip test: the classical kernel on
     every set, the first strict improvement kept."""
     minimize = which in ("chi", "omega", "chi_prime")
     best, count = None, 0
-    for F in enumerate_removable_sets(G, s, mode):
+    for F in removable_edge_sets(G, s, mode):
         count += 1
         val, cert, _ = _classical_kernel(G.n, _removed_masks(G, F), which)
         if best is None or (val < best[0] if minimize else val > best[0]):
@@ -362,6 +394,20 @@ def test_canonical_form():
         canonical_form(erdos_renyi(11, 0.5, 1))
     # fast on highly symmetric graphs thanks to twin elimination
     assert canonical_form(complete(10)) == canonical_form(complete(10))
+
+
+# sha256 of the canonical strings, one a line, of 400 seeded erdos_renyi
+# graphs (n = 1-10, five densities): the strings themselves, not only their
+# equalities, must survive a change to how the search builds its rows
+CANONICAL_PINNED = "602426fc7996738d65c42f7f8de76efe777010a0faad66aa90b32d7d7fdc4c64"
+
+
+def test_canonical_strings_are_pinned():
+    h = hashlib.sha256()
+    for i in range(400):
+        G = erdos_renyi(1 + i % 10, (0.2, 0.35, 0.5, 0.65, 0.8)[i // 10 % 5], i)
+        h.update(canonical_form(G).encode() + b"\n")
+    assert h.hexdigest() == CANONICAL_PINNED
 
 
 def test_bipartite_characterization():

@@ -15,6 +15,8 @@ from robusta.graph import star
 from robusta.poly import min_outdegree_orientation, quasi_unicyclic_edge_decomposition
 from robusta.selection import RemovableSet, maximal_extension, orient_with_cap
 
+from conftest import removable_edge_sets
+
 
 def test_quasi_unicyclic_basics():
     assert is_quasi_unicyclic(cycle(4))
@@ -189,7 +191,7 @@ def test_apply_selection():
 def test_apply_selection_edge_accounting():
     for seed in range(20):
         G = erdos_renyi(7, 0.5, seed)
-        for F in enumerate_removable_sets(G, 1, "maximal"):
+        for F in removable_edge_sets(G, 1, "maximal"):
             sel = selection_from_edge_set(F, G, 1)
             rg = apply_selection(G, sel)
             assert rg.result.m == G.m - len(F)
@@ -221,11 +223,11 @@ def test_selection_json_roundtrip():
 
 def test_enumerate_all_counts():
     k2 = complete(2)
-    assert len(list(enumerate_removable_sets(k2, 1, "all"))) == 2
+    assert len(list(removable_edge_sets(k2, 1, "all"))) == 2
     k3 = complete(3)
-    assert len(list(enumerate_removable_sets(k3, 1, "all"))) == 8
+    assert len(list(removable_edge_sets(k3, 1, "all"))) == 8
     # s = 0 admits only the empty set
-    assert list(enumerate_removable_sets(k3, 0, "all")) == [frozenset()]
+    assert list(removable_edge_sets(k3, 0, "all")) == [frozenset()]
 
 
 def test_enumerate_all_exactly_the_pseudoforest_subsets():
@@ -236,7 +238,7 @@ def test_enumerate_all_exactly_the_pseudoforest_subsets():
         for F in itertools.combinations(edges, r):
             if is_quasi_unicyclic(Graph(6, F)):
                 expected.add(frozenset(F))
-    got = list(enumerate_removable_sets(G, 1, "all"))
+    got = list(removable_edge_sets(G, 1, "all"))
     assert len(got) == len(set(got)) == len(expected)
     assert set(got) == expected
 
@@ -250,7 +252,7 @@ def test_enumerate_maximal_k4_against_filter():
     feas_set = set(feasible)
     expected = {F for F in feasible
                 if not any(F | {e} in feas_set for e in edges if e not in F)}
-    got = set(enumerate_removable_sets(k4, 1, "maximal"))
+    got = set(removable_edge_sets(k4, 1, "maximal"))
     assert got == expected
     assert all(len(F) == 4 for F in got)
     for F in got:
@@ -269,11 +271,11 @@ def test_enumerate_maximal_is_all_filtered_to_unextendable_sets():
     for G in graphs:
         edges = G.sorted_edges()
         for s in range(4):
-            every = list(enumerate_removable_sets(G, s, "all"))
+            every = list(removable_edge_sets(G, s, "all"))
             feasible = set(every)
             expected = [F for F in every
                         if not any(F | {e} in feasible for e in edges if e not in F)]
-            got = list(enumerate_removable_sets(G, s, "maximal"))
+            got = list(removable_edge_sets(G, s, "maximal"))
             assert got == expected, (G.sorted_edges(), s)
             rank = len(maximal_extension(G, s))
             assert all(len(F) == rank for F in got), (G.sorted_edges(), s)
@@ -319,7 +321,7 @@ def test_enumerate_walks_in_the_recursive_order():
         graphs += 1
         for s in (0, 1, 2):
             for mode in ("all", "maximal"):
-                got = list(enumerate_removable_sets(G, s, mode))
+                got = list(removable_edge_sets(G, s, mode))
                 assert got == list(_recursive_walk(G, s, mode)), (G.sorted_edges(), s, mode)
     G = erdos_renyi(8, 0.6, 1)
     for mode in ("all", "maximal"):

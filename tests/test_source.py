@@ -71,16 +71,25 @@ def test_private_names_are_referenced():
     assert unused == [], f"unreferenced private names in src/robusta: {', '.join(unused)}"
 
 
+# ER(6, 8/15) with seed 40 has 8 edges: a graph of the oracle benchmark's
+# heaviest (n, m) cell, on which the enumeration tiers skip most sets
+BENCH_SHAPED_6_8 = "erdos_renyi:6,0.5333333333333333"
+
+
 @pytest.mark.parametrize("args", [
     ["--gen", "erdos_renyi:8,0.5", "--seed", "3",
      "--param", "chi,omega,alpha,theta,chiprime", "--s", "1"],
+    ["--gen", BENCH_SHAPED_6_8, "--seed", "40",
+     "--param", "chi,omega,alpha,theta,chiprime", "--s", "1", "--engine", "oracle"],
+    ["--gen", BENCH_SHAPED_6_8, "--seed", "40",
+     "--param", "chi,omega,alpha,theta,chiprime", "--s", "1", "--engine", "maximal"],
     ["--gen", "erdos_renyi:6,0.5", "--seed", "7",
      "--param", "chi,omega,alpha,theta,chiprime", "--s", "2", "--engine", "oracle"],
     ["--gen", "erdos_renyi:6,0.5", "--seed", "7",
      "--param", "chi,omega,alpha,theta,chiprime", "--s", "2", "--engine", "maximal"],
     ["--gen", "erdos_renyi:9,0.35", "--seed", "4",
      "--param", "chi1,omega1,alpha1,theta1", "--engine", "dp"],
-], ids=["exact-s1", "oracle-s2", "maximal-s2", "dp"])
+], ids=["exact-s1", "oracle-s1", "maximal-s1", "oracle-s2", "maximal-s2", "dp"])
 def test_optimized_mode_report_is_identical(args):
     """`python -O` runs the same code minus `assert`: the report bytes of the
     exact, oracle and maximal tiers and the treewidth DP must not change."""
