@@ -217,22 +217,28 @@ def _chromatic(n: int, masks: list[int]):
     return ub, greedy, nodes
 
 
-def _edge_coloring_decision(G: Graph, k: int):
-    """Proper edge coloring with <= k colors, or None.  Edges at one maximum
-    degree vertex are precolored (color permutations are symmetries)."""
-    edges = G.sorted_edges()
+def _edge_list(n: int, masks: list[int]) -> list[Edge]:
+    """The edges of the graph with adjacency masks `masks`, sorted."""
+    return [(u, v) for u in range(n) for v in _bits(masks[u] >> u << u)]
+
+
+def _edge_coloring_decision(n: int, masks: list[int], k: int):
+    """Proper edge coloring with <= k colors of the graph with adjacency
+    masks `masks`, or None.  Edges at one maximum degree vertex are
+    precolored (color permutations are symmetries)."""
+    edges = _edge_list(n, masks)
     if not edges:
         return {}, 0
-    if G.max_degree() > k:
+    degs = [row.bit_count() for row in masks]
+    if max(degs) > k:
         return None, 0
-    anchor = max(range(G.n), key=lambda v: (G.degree(v), -v))
-    anchor_edges = [(anchor, w) if anchor < w else (w, anchor) for w in G.adj[anchor]]
+    anchor = max(range(n), key=lambda v: (degs[v], -v))
     assign: dict[Edge, int] = {}
-    used: list[int] = [0] * G.n  # color bitmask per vertex
-    for i, e in enumerate(sorted(anchor_edges)):
-        assign[e] = i
-        used[e[0]] |= 1 << i
-        used[e[1]] |= 1 << i
+    used: list[int] = [0] * n  # color bitmask per vertex
+    for i, w in enumerate(_bits(masks[anchor])):  # in sorted edge order
+        assign[(anchor, w) if anchor < w else (w, anchor)] = i
+        used[anchor] |= 1 << i
+        used[w] |= 1 << i
     rest = [e for e in edges if e not in assign]
     full = (1 << k) - 1
     nodes = 0
@@ -271,20 +277,19 @@ def _edge_coloring_decision(G: Graph, k: int):
     return (dict(assign) if ok else None), nodes
 
 
-def _chi_prime(G: Graph):
-    m = G.m
-    if m == 0:
+def _chi_prime(n: int, masks: list[int]):
+    edges = _edge_list(n, masks)
+    if not edges:
         return 0, {}, 0
-    delta = G.max_degree()
+    delta = max(row.bit_count() for row in masks)
     if delta <= 1:
-        return 1, {e: 0 for e in G.edges}, 0
-    if m > delta * (G.n // 2):
-        # overfull: more edges than delta disjoint near-perfect matchings hold
-        return delta + 1, edge_coloring_upper(G), 0
-    coloring, nodes = _edge_coloring_decision(G, delta)
+        return 1, {e: 0 for e in edges}, 0
+    # overfull: more edges than delta disjoint near-perfect matchings hold
+    overfull = len(edges) > delta * (n // 2)
+    coloring, nodes = (None, 0) if overfull else _edge_coloring_decision(n, masks, delta)
     if coloring is not None:
         return delta, coloring, nodes
-    return delta + 1, edge_coloring_upper(G), nodes
+    return delta + 1, edge_coloring_upper(Graph(n, edges)), nodes
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +399,22 @@ def _require(cond: bool, what: str, size: int, cap: int, counted: str = "vertex 
         raise CapExceeded(f"{what}: {counted} {size} exceeds cap {cap}")
 
 
-def _removed_masks(G: Graph, F) -> list[int]:
-    """Adjacency masks of G - F, for an iterable F of edges of G."""
-    masks = [0] * G.n
-    for u, v in G.edges.difference(F):
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+def _minus(adj: list[int], edges: list[Edge], F: int) -> list[int]:
+    """Adjacency masks of G - F: G's masks `adj` with the edges of F, an
+    edge-bit int over `edges` (G.sorted_edges()), cleared."""
+    masks = adj.copy()
+    while F:
+        low = F & -F
+        u, v = edges[low.bit_length() - 1]
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        F ^= low
     return masks
+
+
+def _removed_edges(edges: list[Edge], F: int) -> list[list[int]]:
+    """The certificate's `removed_edges`: F's edges, in sorted order."""
+    return [list(edges[i]) for i in _bits(F)]
 
 
 def _complement_masks(n: int, masks: list[int]) -> list[int]:
@@ -430,9 +444,7 @@ def _classical_kernel(n: int, masks: list[int], which: str):
         cover = [sorted(c) for c in cover if c]
         return len(cover), {"clique_cover": cover}, nodes
     if which == "chi_prime":
-        # edge_coloring_upper works on a Graph
-        H = Graph(n, [(u, v) for u in range(n) for v in _bits(masks[u] >> u << u)])
-        value, coloring, nodes = _chi_prime(H)
+        value, coloring, nodes = _chi_prime(n, masks)
         return value, {"edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}, nodes
     raise ValueError(f"unknown robust parameter {which!r}")
 
@@ -445,31 +457,34 @@ def _color_classes(coloring: list[int]) -> list[int]:
     return [c for c in classes if c]
 
 
-def _clique_pairs(cliques: list[int]) -> list[tuple[int, int]]:
-    """Witness pairs of cliques given as vertex masks: (v, the members of
-    v's clique above v) for each v that has some."""
-    pairs = []
-    for c in cliques:
+def _class_edges(bits: list[dict[int, int]], classes) -> int:
+    """Edge mask (over `bits`, from _edge_bits) of the pairs inside each of
+    the vertex masks `classes`, all cliques of the graph."""
+    mask = 0
+    for c in classes:
         while c:
             low = c & -c
             c ^= low
-            if c:
-                pairs.append((low.bit_length() - 1, c))
-    return pairs
+            row = bits[low.bit_length() - 1]
+            for u in _bits(c):
+                mask |= row[u]
+    return mask
 
 
-def _cannot_beat(n: int, masks: list[int], which: str, best: int):
-    """(decided, witness) for the graph with adjacency masks `masks` and
-    the incumbent `best >= 0`.  decided is True when classical bounds show
-    that `which` cannot strictly beat best: cannot go below it for chi,
-    omega and chi_prime, nor above it for alpha and theta.  False means
-    only that the bounds did not decide.
+def _cannot_beat(n: int, masks: list[int], which: str, best: int,
+                 bits: list[dict[int, int]]):
+    """(decided, witness) for the graph with adjacency masks `masks`, a
+    subgraph of G on G's vertices, and the incumbent `best >= 0`.  decided
+    is True when classical bounds show that `which` cannot strictly beat
+    best: cannot go below it for chi, omega and chi_prime, nor above it for
+    alpha and theta.  False means only that the bounds did not decide.
 
-    A witness is a list of (v, need) pairs such that the same bound decides
-    every graph in which each v is still adjacent to all of need:
-      chi, omega    a clique of at least best vertices (greedy);
-      alpha, theta  a cover by at most best cliques (DSATUR on the
-                    complement; for theta, else an exact best-colouring);
+    A witness is an edge mask over `bits` (_edge_bits(G)) such that the
+    same bound decides every subgraph of G that keeps all of its edges:
+      chi, omega    the edges of a clique of at least best vertices (greedy);
+      alpha, theta  the edges inside the classes of a cover by at most best
+                    cliques (DSATUR on the complement; for theta, else an
+                    exact best-colouring);
       chi_prime     the star of a vertex of degree at least best.
     alpha's exact fallback, a clique search on the complement, decides
     with witness None."""
@@ -477,11 +492,11 @@ def _cannot_beat(n: int, masks: list[int], which: str, best: int):
         clique = _greedy_clique(n, masks)
         if len(clique) < best:
             return False, None
-        return True, _clique_pairs([sum(1 << v for v in clique)])
+        return True, _class_edges(bits, [sum(1 << v for v in clique)])
     if which == "chi_prime":
         for v, row in enumerate(masks):
             if row.bit_count() >= best:
-                return True, [(v, row)]
+                return True, sum(bits[v][u] for u in _bits(row))
         return best == 0, None  # no vertices: the value is 0
     if which not in ("alpha", "theta"):
         raise ValueError(f"unknown robust parameter {which!r}")
@@ -493,18 +508,7 @@ def _cannot_beat(n: int, masks: list[int], which: str, best: int):
         coloring = _k_coloring(n, comp, best, _greedy_clique(n, comp))[0]
         if coloring is None:
             return False, None
-    return True, _clique_pairs(_color_classes(coloring))
-
-
-def _witness_mask(bits: list[dict[int, int]], witness) -> int:
-    """Edge mask (over `bits`, from _edge_bits) of the pairs v-u, u in need,
-    of a witness whose pairs are all edges of the graph."""
-    mask = 0
-    for v, need in witness:
-        row = bits[v]
-        for u in _bits(need):
-            mask |= row[u]
-    return mask
+    return True, _class_edges(bits, _color_classes(coloring))
 
 
 def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
@@ -604,7 +608,7 @@ def _cliques_of_size(G: Graph, size: int, bits: list[dict[int, int]]) -> list[in
 
 
 def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
-    """(F, nodes): a removable set (edge list) meeting every target
+    """(F, nodes): a removable set (edge-bit int) meeting every target
     edge-mask, or None, and the search nodes visited.
 
     Branch and bound on the target with the fewest addable edges, with a
@@ -619,7 +623,7 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
     n, m = G.n, len(edges)
     budget = s * n
     if not target_masks:
-        return [], 0
+        return 0, 0
     if any(mask == 0 for mask in target_masks):
         return None, 0
     per_edge = [0] * m  # targets containing each edge, as index masks
@@ -631,16 +635,17 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
     all_q = (1 << len(target_masks)) - 1
     F = RemovableSet(n, s)
     can_add = F.can_add
+    held = 0  # F's edge bits
     scan_cap = 128  # prunes stay sound when scans stop early
     nodes = 0
 
     # the sweeps below write out their lowest-bit loops: a _bits generator
     # frame per mask was the largest self cost of this search
     def rec(unhit: int, cand: int):  # cand: edges the subtree may add
-        nonlocal nodes
+        nonlocal nodes, held
         nodes += 1
         if unhit == 0:
-            return list(F.edges)
+            return held
         if len(F.edges) >= budget:
             return None
         addset = 0
@@ -712,7 +717,9 @@ def _hit_all_targets(G: Graph, s: int, target_masks: list[int]):
         for ei in target_opts:
             addset &= ~(1 << ei)  # later siblings exclude this option
             F.push(edges[ei])
+            held |= 1 << ei
             res = rec(unhit & ~per_edge[ei], addset)
+            held ^= 1 << ei
             F.pop()
             if res is not None:
                 return res
@@ -726,7 +733,8 @@ def _omega_robust(G: Graph, s: int):
     n, m = G.n, G.m
     if n == 0:
         return 0, {"removed_edges": [], "clique": []}, 0
-    omega0 = len(_max_clique(n, G.adjacency_masks())[0])
+    adj = G.adjacency_masks()
+    omega0 = len(_max_clique(n, adj)[0])
     bits = _edge_bits(G)
     budget = s * n
     nodes = 0
@@ -740,9 +748,10 @@ def _omega_robust(G: Graph, s: int):
         if F is not None:
             break
     else:
-        v, F = omega0, []
-    clique, extra = _max_clique(n, _removed_masks(G, F))
-    return v, {"removed_edges": [list(e) for e in sorted(F)],
+        v, F = omega0, 0
+    edges = G.sorted_edges()
+    clique, extra = _max_clique(n, _minus(adj, edges, F))
+    return v, {"removed_edges": _removed_edges(edges, F),
                "clique": clique}, nodes + extra
 
 
@@ -799,38 +808,39 @@ def _theta_robust(G: Graph, s: int):
     if n == 0:
         return 0, {"removed_edges": [], "clique_cover": []}, 0
     bits = _edge_bits(G)
+    edges, adj = G.sorted_edges(), G.adjacency_masks()
     nodes = 0
 
-    best_F: frozenset[Edge] = frozenset()
-    best_val, best_cert, _ = _classical_kernel(n, G.adjacency_masks(), "theta")
+    best_F = 0
+    best_val, best_cert, _ = _classical_kernel(n, adj, "theta")
     # greedy incumbent: a maximal removable set grown in edge order
     greedy = maximal_extension(G, s)
-    val, cert, _ = _classical_kernel(n, _removed_masks(G, greedy), "theta")
+    val, cert, _ = _classical_kernel(n, _minus(adj, edges, greedy), "theta")
     if val > best_val:
         best_val, best_F, best_cert = val, greedy, cert
 
     while best_val < n:
-        hit, found = _hit_all_targets(G, s, _clique_partition_targets(G, best_val, bits))
+        F, found = _hit_all_targets(G, s, _clique_partition_targets(G, best_val, bits))
         nodes += found
-        if hit is None:
+        if F is None:
             break
-        F = frozenset(hit)
-        val, cert, _ = _classical_kernel(n, _removed_masks(G, F), "theta")
+        val, cert, _ = _classical_kernel(n, _minus(adj, edges, F), "theta")
         if val <= best_val:
             # a set meeting every best_val-class cover must raise theta;
             # without this check the loop would re-solve the same targets
-            raise AssertionError(f"theta_{s} search: removing {sorted(F)} gives "
-                                 f"theta {val}, not above {best_val}")
+            raise AssertionError(f"theta_{s} search: removing {_removed_edges(edges, F)} "
+                                 f"gives theta {val}, not above {best_val}")
         best_val, best_F, best_cert = val, F, cert
-    return best_val, {"removed_edges": [list(e) for e in sorted(best_F)],
+    return best_val, {"removed_edges": _removed_edges(edges, best_F),
                       "clique_cover": best_cert["clique_cover"]}, nodes
 
 
 def _min_max_degree(G: Graph, s: int):
-    """(D*, witness F): minimum over removable F of max degree of G - F."""
+    """(D*, F, nodes): the minimum over removable F of the max degree of
+    G - F, and a removable F (edge-bit int) that attains it."""
     n, m = G.n, G.m
     if m == 0:
-        return 0, [], 0
+        return 0, 0, 0
     budget = s * n
     degs = [G.degree(v) for v in range(n)]
     lo = max(0, min(degs) - 2 * s)
@@ -842,14 +852,15 @@ def _min_max_degree(G: Graph, s: int):
     def decision(v):
         nonlocal nodes
         F = RemovableSet(n, s)
+        held = 0  # F's edge bits
         residual = degs[:]  # degrees of G - F
 
         def rec(banned: int):  # edge bits the subtree may not add, F's too
-            nonlocal nodes
+            nonlocal nodes, held
             nodes += 1
             over = [(residual[x] - v, x) for x in range(n) if residual[x] > v]
             if not over:
-                return sorted(F.edges)
+                return held
             deficit = sum(d for d, _ in over)
             if len(F.edges) + -(-deficit // 2) > budget:
                 return None
@@ -867,11 +878,13 @@ def _min_max_degree(G: Graph, s: int):
                 # branch of its first one: later siblings ban e
                 banned |= b
                 F.push(e)
+                held |= b
                 residual[e[0]] -= 1
                 residual[e[1]] -= 1
                 res = rec(banned)
                 residual[e[0]] += 1
                 residual[e[1]] += 1
+                held ^= b
                 F.pop()
                 if res is not None:
                     return res
@@ -891,37 +904,26 @@ def _chi_prime_robust(G: Graph, s: int):
     n, m = G.n, G.m
     if m == 0:
         return 0, {"removed_edges": [], "edge_coloring": []}, 0
+    edges = G.sorted_edges()
     dstar, F0, nodes = _min_max_degree(G, s)
     if dstar == 0:
         # some removable set deletes every edge; F0 witnesses it
-        if len(F0) != m:
+        if F0.bit_count() != m:
             raise AssertionError(f"chi'_{s} search: D* = 0 but the witness "
-                                 f"removes {len(F0)} of {m} edges")
-        return 0, {"removed_edges": [list(e) for e in sorted(F0)],
+                                 f"removes {F0.bit_count()} of {m} edges")
+        return 0, {"removed_edges": _removed_edges(edges, F0),
                    "edge_coloring": []}, nodes
 
     # hunt for a maximal removable set whose removal is D*-edge-chromatic
-    edges = G.sorted_edges()
-    rank = len(maximal_extension(G, s))
-    found: dict | None = None
-
-    def leaf_test(F: frozenset[Edge]):
-        nonlocal nodes
-        H = Graph(n, G.edges - F)
-        if H.m > dstar * (n // 2):
-            return None
-        coloring, extra = _edge_coloring_decision(H, dstar)
-        nodes += extra
-        if coloring is None:
-            return None
-        return {"removed_edges": [list(e) for e in sorted(F)],
-                "edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}
-
+    adj = G.adjacency_masks()
+    rank = maximal_extension(G, s).bit_count()
+    found = None  # (F, edge colouring of G - F)
     F = RemovableSet(n, s)
+    held = 0  # F's edge bits
     left = [0] * n  # per vertex, edges walked past and left in G - F
 
     def dfs(i: int):
-        nonlocal found, nodes
+        nonlocal found, nodes, held
         if found is not None:
             return
         nodes += 1
@@ -930,10 +932,15 @@ def _chi_prime_robust(G: Graph, s: int):
             return
         if i == m:
             if len(F.edges) == rank:  # maximal
-                found = leaf_test(frozenset(F.edges))
+                coloring, extra = _edge_coloring_decision(n, _minus(adj, edges, held), dstar)
+                nodes += extra
+                if coloring is not None:
+                    found = held, coloring
             return
         if F.push(edges[i]):
+            held |= 1 << i
             dfs(i + 1)
+            held ^= 1 << i
             F.pop()
         u, v = edges[i]
         left[u] += 1
@@ -947,18 +954,18 @@ def _chi_prime_robust(G: Graph, s: int):
     if m - rank <= dstar * (n // 2):
         dfs(0)
     if found is not None:
-        return dstar, found, nodes
-    F = maximal_extension(G, s, frozenset(F0))
-    H = Graph(n, G.edges - F)
-    coloring = edge_coloring_upper(H)
-    used = len(set(coloring.values()))
-    if used > dstar + 1:
-        # F contains F0, so G - F has max degree <= D*; the fan-rotation
-        # colouring then uses at most D* + 1 colours
-        raise AssertionError(f"chi'_{s} search: edge colouring of G - F uses "
-                             f"{used} colours, more than D* + 1 = {dstar + 1}")
-    return dstar + 1, {"removed_edges": [list(e) for e in sorted(F)],
-                       "edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}, nodes
+        value, (F, coloring) = dstar, found
+    else:
+        value, F = dstar + 1, maximal_extension(G, s, F0)
+        coloring = edge_coloring_upper(Graph(n, _edge_list(n, _minus(adj, edges, F))))
+        used = len(set(coloring.values()))
+        if used > dstar + 1:
+            # F contains F0, so G - F has max degree <= D*; the fan-rotation
+            # colouring then uses at most D* + 1 colours
+            raise AssertionError(f"chi'_{s} search: edge colouring of G - F uses "
+                                 f"{used} colours, more than D* + 1 = {dstar + 1}")
+    return value, {"removed_edges": _removed_edges(edges, F),
+                   "edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -977,14 +984,16 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
     incumbent is counted but not evaluated.
 
     F arrives as an edge-bit int over G.sorted_edges().  The last witness
-    _cannot_beat returned is kept as the edge mask of its (v, need) pairs,
-    all edges of G, and checked first: while F takes none of them, every v
-    is still adjacent to its need in G - F and the witness still decides,
-    because the incumbent only moves one way (down for chi, omega and
-    chi_prime, whose clique or star had at least the old best vertices or
-    neighbours; up for alpha and theta, whose cover had at most the old best
-    classes).  Only a set that the witness does not decide gets G - F's
-    masks, G's with F's edges cleared, and only the winner its edge list."""
+    _cannot_beat returned, an edge mask over the same index, is checked
+    first: while F takes none of its edges, G - F keeps the witness's
+    clique, cover or star, and the witness still decides, because the
+    incumbent only moves one way (down for chi, omega and chi_prime, whose
+    clique or star had at least the old best vertices or edges; up for
+    alpha and theta, whose cover had at most the old best classes).  Only
+    a set that the witness does not decide gets G - F's masks (_minus), and
+    only the winner its edge list."""
+    if which not in ROBUST:
+        raise ValueError(f"unknown robust parameter {which!r}")
     t0 = time.perf_counter()
     minimize = _MINIMIZED[which]
     n = G.n
@@ -998,25 +1007,17 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
         count += 1
         if wmask is not None and not Fb & wmask:
             continue
-        masks = adj.copy()
-        f = Fb
-        while f:
-            low = f & -f
-            u, v = edges[low.bit_length() - 1]
-            masks[u] ^= 1 << v
-            masks[v] ^= 1 << u
-            f ^= low
+        masks = _minus(adj, edges, Fb)
         if best is not None:
-            decided, found = _cannot_beat(n, masks, which, best[0])
-            if found is not None:
-                wmask = _witness_mask(bits, found)
+            decided, found = _cannot_beat(n, masks, which, best[0], bits)
+            wmask = wmask if found is None else found
             if decided:
                 continue
         val, cert, _ = _classical_kernel(n, masks, which)
         if best is None or (val < best[0] if minimize else val > best[0]):
             best = (val, Fb, cert)
     val, Fb, cert = best
-    cert["removed_edges"] = [list(edges[i]) for i in _bits(Fb)]
+    cert["removed_edges"] = _removed_edges(edges, Fb)
     elapsed = (time.perf_counter() - t0) * 1000
     return ParameterResult(which, s, val, cert,
                            {"nodes": count, "elapsed_ms": elapsed})

@@ -332,17 +332,18 @@ def selection_digraph(G: Graph, f: SSelection) -> list[tuple[int, int]]:
     return f.to_pairs()
 
 
-def maximal_extension(G: Graph, s: int, F: frozenset[Edge] = frozenset()) -> frozenset[Edge]:
-    """The removable set F grown greedily, in edge order, to a maximal one.
-    The removable sets are the independent sets of a matroid (a union of s
-    bicircular matroids), so every maximal one has this size, the rank."""
+def maximal_extension(G: Graph, s: int, F: int = 0) -> int:
+    """The removable set F, an edge-bit int over G.sorted_edges(), grown
+    greedily in edge order to a maximal one.  The removable sets are the
+    independent sets of a matroid (a union of s bicircular matroids), so
+    every maximal one has this size, the rank: its `.bit_count()`."""
+    edges = G.sorted_edges()
     grown = RemovableSet(G.n, s)
-    for e in sorted(F):
-        grown.push(e)
-    for e in G.sorted_edges():
-        if e not in F:
-            grown.push(e)
-    return frozenset(grown.edges)
+    held = 0
+    for i in sorted(range(len(edges)), key=lambda i: not F >> i & 1):  # F first
+        if grown.push(edges[i]):
+            held |= 1 << i
+    return held
 
 
 DEFAULT_ENUM_ALL_EDGE_CAP = 20
@@ -374,7 +375,7 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
         raise ValueError(f"graph has {G.m} edges, enumeration guard is {cap}")
     edges = G.sorted_edges()
     m = len(edges)
-    floor = len(maximal_extension(G, s)) if mode == "maximal" else 0
+    floor = maximal_extension(G, s).bit_count() if mode == "maximal" else 0
     F = RemovableSet(G.n, s)
     push, pop = F.push, F.pop
     taken: list[int] = []

@@ -71,8 +71,7 @@ from .graphio import HEADER_COUNT_CAP, ParseError
 # classical_parameter is not called here; it stays bound because
 # perfbench/tracing.py wraps treewidth.classical_parameter by name.
 from .exact import (CapExceeded, ParameterResult, _bits, _classical_kernel,
-                    _removed_masks, classical_parameter)
-from .selection import Edge
+                    _edge_bits, _minus, _removed_edges, classical_parameter)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +395,6 @@ def _subsets(items):
         yield from itertools.combinations(items, r)
 
 
-def _norm(u, v) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 def _payable(edges, R, A) -> bool:
     """Can every edge of R (a bitmask over `edges`) be paid for by one of
     its endpoints, each vertex paying at most once and no vertex of the
@@ -426,10 +421,10 @@ def _payable(edges, R, A) -> bool:
 def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
     """Bottom-up table pass; returns (tables, nodes, top).  `tables[node]`
     maps a row (R, A, payload) to (value, provenance): the value the
-    strategy finds better, and the child row it came from (with the tuple
-    T of neighbours whose edge to v it removes at an introduce of v, both
-    child rows at a join, None at a leaf).  `R` is a bitmask over
-    G.sorted_edges() and `A` a vertex bitmask (module docstring).  A
+    strategy finds better, and the child row it came from (both child rows
+    at a join, None at a leaf).  `R` is a bitmask over G.sorted_edges(),
+    with the bits of exact._edge_bits(G), and `A` a vertex bitmask (module
+    docstring); at an introduce of v, R' ^ R are the edges v-T it removes.  A
     strategy with a `dominates` test has each finished table pruned before
     it is stored, so kept rows only point at kept child rows.  `trace`,
     when a list, collects one record per node: rows kept and pruned.
@@ -453,7 +448,7 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
     top = cur
     tables: dict[int, dict] = {}
     edges = G.sorted_edges()
-    index = {e: i for i, e in enumerate(edges)}
+    bits = _edge_bits(G)
     better = strategy.better
     feasible = functools.cache(lambda R, A: _payable(edges, R, A))
 
@@ -475,14 +470,13 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
             (c,) = nd.children
             bag_nbrs = sorted(u for u in G.adj[v] if u in nodes[c].bag)
             nbr_mask = sum(1 << u for u in bag_nbrs)
-            choices = [(T, sum(1 << index[_norm(u, v)] for u in T),
-                        nbr_mask & ~sum(1 << u for u in T))
+            choices = [(sum(bits[v][u] for u in T), nbr_mask & ~sum(1 << u for u in T))
                        for T in _subsets(bag_nbrs)]
             groups: dict[tuple, list] = {}
             for key, (val, _) in tables[c].items():
                 groups.setdefault(key[:2], []).append((key, val))
             for (R, A), rows in groups.items():
-                for T, cut, live in choices:
+                for cut, live in choices:
                     R2 = R | cut
                     if cut and not feasible(R2, A):
                         continue
@@ -493,12 +487,12 @@ def _run_dp(G: Graph, nice: NiceTreeDecomposition, strategy, trace=None):
                             if old is None or better(val2, old[0]):
                                 out[pay2] = (val2, key)
                     for pay2, (val2, key) in out.items():
-                        tbl[R2, A, pay2] = (val2, (key, T))
+                        tbl[R2, A, pay2] = (val2, key)
         elif nd.kind == "forget":
             (c,) = nd.children
             vbit = 1 << v
-            other = {index[_norm(u, v)]: 1 << u for u in G.adj[v]}
-            v_edges = sum(1 << i for i in other)
+            other = {b.bit_length() - 1: 1 << u for u, b in bits[v].items()}
+            v_edges = sum(bits[v].values())
             states: dict[tuple, list] = {}
             moved: dict[tuple, tuple] = {}
             for key, (val, _) in tables[c].items():
@@ -602,11 +596,13 @@ def _dominated_rows(tbl, dominates) -> list:
 
 
 def _walk_provenance(tables, nodes, top, key):
-    """Walk provenance down from (top, key); returns the chosen removed edges
-    and, for every vertex, the payload of the row it was forgotten from.
-    The walk is top-down, and `forgotten` lists the vertices in walk order,
-    so a vertex comes after every vertex forgotten above it."""
-    removed: set[Edge] = set()
+    """Walk provenance down from (top, key); returns the chosen removed
+    edges, an edge-bit int over G.sorted_edges(), and, for every vertex, the
+    payload of the row it was forgotten from.  An introduce removes the
+    edges by which its row's R differs from its child's.  The walk is
+    top-down, and `forgotten` lists the vertices in walk order, so a vertex
+    comes after every vertex forgotten above it."""
+    removed = 0
     forgotten: dict[int, object] = {}
     stack = [(top, key)]
     while stack:
@@ -614,10 +610,8 @@ def _walk_provenance(tables, nodes, top, key):
         nd = nodes[node]
         p = tables[node][k][1]
         if nd.kind == "introduce":
-            child_key, T = p
-            for u in T:
-                removed.add(_norm(u, nd.vertex))
-            stack.append((nd.children[0], child_key))
+            removed |= k[0] ^ p[0]
+            stack.append((nd.children[0], p))
         elif nd.kind == "forget":
             forgotten[nd.vertex] = p[2]
             stack.append((nd.children[0], p))
@@ -626,10 +620,11 @@ def _walk_provenance(tables, nodes, top, key):
     return removed, forgotten
 
 
-def _kernel_certificate(G: Graph, removed, which: str, value: int) -> dict:
-    """The classical kernel's certificate for G - removed, checked against
-    the DP value."""
-    got, cert, _ = _classical_kernel(G.n, _removed_masks(G, removed), which)
+def _kernel_certificate(G: Graph, removed: int, which: str, value: int) -> dict:
+    """The classical kernel's certificate for G - removed (an edge-bit int),
+    checked against the DP value."""
+    masks = _minus(G.adjacency_masks(), G.sorted_edges(), removed)
+    got, cert, _ = _classical_kernel(G.n, masks, which)
     if got != value:
         raise AssertionError(f"{which}1 dp value {value} disagrees with the "
                              f"{which} number {got} of its removed graph")
@@ -914,8 +909,8 @@ def dp_robust(G: Graph, nice: NiceTreeDecomposition, which: str,
                 key, value = row, row_value
         removed, forgotten = _walk_provenance(tables, nodes, top, key)
     else:  # the empty graph: no tables, nothing removed, value 0
-        tables, nodes, removed, forgotten, value = {}, [], set(), {}, 0
-    cert = {"removed_edges": [list(e) for e in sorted(removed)],
+        tables, nodes, removed, forgotten, value = {}, [], 0, {}, 0
+    cert = {"removed_edges": _removed_edges(G.sorted_edges(), removed),
             **strategy.certificate(removed, forgotten, value)}
     result = ParameterResult(which[:-1], 1, value, cert)
     sizes = [len(tbl) for tbl in tables.values()]

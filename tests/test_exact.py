@@ -11,12 +11,9 @@ from robusta import (CapExceeded, Graph, canonical_form, classical_parameter,
 from robusta.certify import CertificateError, validate_result
 from robusta.exact import (SolverCaps, _bits, _cannot_beat, _classical_kernel,
                            _clique_partition_targets, _cliques_of_size, _edge_bits,
-                           _hit_all_targets, _min_max_degree, _removed_masks,
-                           _witness_mask)
+                           _hit_all_targets, _min_max_degree, _minus)
 from robusta.filters import nonisomorphic_graphs
 from robusta.selection import enumerate_removable_sets
-
-from conftest import removable_edge_sets
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 
@@ -100,6 +97,15 @@ def test_robust_parameter_known_values():
     assert robust_parameter(star(9), "chi_prime", 1).value == 0
 
 
+@pytest.mark.parametrize("tier", (oracle_robust, robust_via_maximal))
+@pytest.mark.parametrize("which", ("iota", "arboricity", "chi1"))
+def test_enumeration_tiers_reject_unknown_parameters(tier, which):
+    """The oracle and maximal tiers answer a name outside exact.ROBUST with
+    the same typed error as robust_parameter, before any set is walked."""
+    with pytest.raises(ValueError, match=f"unknown robust parameter '{which}'"):
+        tier(complete(4), which, 1)
+
+
 def test_robust_s0_reproduces_classical():
     for seed in range(10):
         G = erdos_renyi(7, 0.5, seed)
@@ -134,12 +140,6 @@ BRUTE_GRAPHS = [(n, p, 10 * n + seed) for n in range(3, 8) for p in (0.5, 0.7)
                 for seed in range(2)]
 
 
-def _removable_masks(G, s):
-    """Edge-bit masks (bit i: edge i of G.sorted_edges()) of every removable set."""
-    index = {e: i for i, e in enumerate(G.sorted_edges())}
-    return index, set(enumerate_removable_sets(G, s))
-
-
 @pytest.mark.parametrize("s", (1, 2))
 def test_hitting_search_matches_brute_force(s):
     """_hit_all_targets finds a removable set meeting every target exactly
@@ -151,7 +151,7 @@ def test_hitting_search_matches_brute_force(s):
         G = erdos_renyi(*spec)
         if G.m == 0:
             continue
-        index, removable = _removable_masks(G, s)
+        removable = set(enumerate_removable_sets(G, s))  # edge-bit ints
         bits = _edge_bits(G)
         families = [_cliques_of_size(G, k, bits) for k in (2, 3, 4)]
         families += [_clique_partition_targets(G, B, bits) for B in range(1, G.n + 1)]
@@ -163,8 +163,7 @@ def test_hitting_search_matches_brute_force(s):
             F, _ = _hit_all_targets(G, s, targets)
             assert (F is not None) == want, (spec, s, targets)
             if F is not None:
-                fm = sum(1 << index[e] for e in F)
-                assert fm in removable and all(t & fm for t in targets), (spec, s, F)
+                assert F in removable and all(t & F for t in targets), (spec, s, F)
                 found += 1
             checked += 1
     assert checked > 200 and 0 < found < checked
@@ -176,7 +175,7 @@ def test_min_max_degree_matches_brute_force(s):
     removable F, and the witness is removable and attains it."""
     for spec in BRUTE_GRAPHS:
         G = erdos_renyi(*spec)
-        index, removable = _removable_masks(G, s)
+        removable = set(enumerate_removable_sets(G, s))  # edge-bit ints
         edges = G.sorted_edges()
 
         def max_degree(fm):
@@ -189,8 +188,7 @@ def test_min_max_degree_matches_brute_force(s):
 
         dstar, witness, _ = _min_max_degree(G, s)
         assert dstar == min(max_degree(fm) for fm in removable), spec
-        fm = sum(1 << index[e] for e in witness)
-        assert fm in removable and max_degree(fm) == dstar, (spec, witness)
+        assert witness in removable and max_degree(witness) == dstar, (spec, witness)
 
 
 def test_cannot_beat_is_sound_on_all_small_graphs():
@@ -199,12 +197,12 @@ def test_cannot_beat_is_sound_on_all_small_graphs():
     where no value could beat it (below 0, or above n)."""
     for n in range(7):
         for G in nonisomorphic_graphs(n):
-            masks = G.adjacency_masks()
+            masks, bits = G.adjacency_masks(), _edge_bits(G)
             for which in PARAMS:
                 value = _classical_kernel(n, masks, which)[0]
                 minimize = which in ("chi", "omega", "chi_prime")
                 for best in range(n + 2):
-                    skip, _ = _cannot_beat(n, masks, which, best)
+                    skip, _ = _cannot_beat(n, masks, which, best, bits)
                     beats = value < best if minimize else value > best
                     assert not (skip and beats), (G.sorted_edges(), which, best)
                     if (best == 0) if minimize else (best >= n):
@@ -213,40 +211,48 @@ def test_cannot_beat_is_sound_on_all_small_graphs():
 
 def test_cannot_beat_witnesses_are_cliques():
     """A witness that the skip test returns comes with a decision and holds
-    in the graph: its (v, need) pairs are edges of it.  For chi and omega
-    they span one clique of at least `best` vertices; for alpha and theta
-    they are the pairs of a cover of every vertex, once, by at most `best`
-    disjoint cliques; for chi_prime they are one star of at least `best`
-    edges."""
+    in the graph: it is an edge mask over G.sorted_edges().  For chi and
+    omega its edges are those of one clique of at least `best` vertices;
+    for alpha and theta those inside the classes of a cover of every
+    vertex, once, by at most `best` disjoint cliques; for chi_prime those
+    of one star of at least `best` edges."""
     for n in range(7):
-        full = (1 << n) - 1
         for G in nonisomorphic_graphs(n):
-            masks = G.adjacency_masks()
+            masks, bits = G.adjacency_masks(), _edge_bits(G)
+            edges = G.sorted_edges()
             for which in PARAMS:
                 for best in range(n + 2):
-                    decided, witness = _cannot_beat(n, masks, which, best)
+                    decided, witness = _cannot_beat(n, masks, which, best, bits)
                     if witness is None:
                         continue
-                    where = (G.sorted_edges(), which, best, witness)
+                    where = (edges, which, best, witness)
                     assert decided, where
-                    assert all(masks[v] & need == need for v, need in witness), where
+                    assert witness >> len(edges) == 0, where
+                    held = [edges[i] for i in _bits(witness)]
                     if which == "chi_prime":
-                        assert len(witness) == 1 and witness[0][1].bit_count() >= best, where
+                        centres = set(range(n))
+                        for e in held:
+                            centres &= set(e)
+                        assert centres or not held, where
+                        assert len(held) >= best, where
                         continue
-                    # the classes the pairs describe: v with the members above it
-                    need_of = dict(witness)
-                    assert len(need_of) == len(witness), where
-                    inner = 0
-                    for _, need in witness:
-                        inner |= need
-                    classes = [1 << v | need_of.get(v, 0) for v in range(n)
-                               if not inner >> v & 1]
-                    assert sum(classes) == full, where
+                    # the classes the edges describe: their components
+                    # (each a clique) and the vertices no edge touches
+                    classes = []
+                    for v in range(n):
+                        cls = 1 << v
+                        for u, w in held:
+                            if v in (u, w):
+                                cls |= 1 << u | 1 << w
+                        if cls not in classes:
+                            classes.append(cls)
+                    assert sum(classes) == (1 << n) - 1, where
                     assert sum(c.bit_count() for c in classes) == n, where
                     for c in classes:
-                        assert all((masks[v] | 1 << v) & c == c for v in _bits(c)), where
-                        assert all(need_of.get(v) == c >> (v + 1) << (v + 1)
-                                   for v in _bits(c) if c >> (v + 1)), where
+                        inside = [e for e in edges if c >> e[0] & 1 and c >> e[1] & 1]
+                        k = c.bit_count()
+                        assert len(inside) == k * (k - 1) // 2, where  # a clique
+                        assert set(inside) <= set(held), where
                     if which in ("chi", "omega"):
                         cliques = [c for c in classes if c.bit_count() > 1]
                         assert len(cliques) <= 1, where
@@ -255,31 +261,33 @@ def test_cannot_beat_witnesses_are_cliques():
                         assert which in ("alpha", "theta") and len(classes) <= best, where
 
 
-def test_witness_edge_mask_skips_exactly_where_its_pairs_hold():
+def test_witness_edge_mask_skips_only_sets_it_decides():
     """The enumeration tiers skip a set F that takes no edge of the last
-    witness's edge mask.  That is the pair rule, each v still adjacent to
-    all of its need in G - F: checked for every witness _cannot_beat
-    returns on some G - F, at every incumbent, against every removable F."""
+    witness's edge mask.  That is sound: for every witness _cannot_beat
+    returns on some G - F' at an incumbent b, every removable F that takes
+    none of its edges has a kernel value that does not beat b."""
     graphs = [erdos_renyi(n, 0.4, 40 + seed) for n in range(4, 8) for seed in range(3)]
     graphs = [G for G in graphs if G.m <= 9]
     assert len(graphs) >= 8 and max(G.n for G in graphs) == 7
     checked = 0
     for G in graphs:
         n, edges, bits = G.n, G.sorted_edges(), _edge_bits(G)
+        adj = G.adjacency_masks()
         for s in (1, 2):
             # (F as edge bits, adjacency masks of G - F)
-            removed = [(F, _removed_masks(G, [edges[i] for i in _bits(F)]))
-                       for F in enumerate_removable_sets(G, s)]
+            removed = [(F, _minus(adj, edges, F)) for F in enumerate_removable_sets(G, s)]
             for which in PARAMS:
-                witnesses = {tuple(w) for _, masks in removed for best in range(n + 2)
-                             for w in [_cannot_beat(n, masks, which, best)[1]]
+                minimize = which in ("chi", "omega", "chi_prime")
+                value = {F: _classical_kernel(n, masks, which)[0] for F, masks in removed}
+                witnesses = {(w, best) for _, masks in removed for best in range(n + 2)
+                             for w in [_cannot_beat(n, masks, which, best, bits)[1]]
                              if w is not None}
-                for w in witnesses:
-                    wmask = _witness_mask(bits, w)
-                    for F, masks in removed:
-                        pairs_hold = all(masks[v] & need == need for v, need in w)
-                        assert (not F & wmask) == pairs_hold, (edges, s, which, w, F)
-                        checked += 1
+                for w, best in witnesses:
+                    for F, _ in removed:
+                        if not F & w:
+                            beats = value[F] < best if minimize else value[F] > best
+                            assert not beats, (edges, s, which, w, best, F)
+                            checked += 1
     assert checked > 10_000
 
 
@@ -287,14 +295,15 @@ def _plain_enumerated(G, which, s, mode):
     """The enumeration tiers with no skip test: the classical kernel on
     every set, the first strict improvement kept."""
     minimize = which in ("chi", "omega", "chi_prime")
+    edges, adj = G.sorted_edges(), G.adjacency_masks()
     best, count = None, 0
-    for F in removable_edge_sets(G, s, mode):
+    for F in enumerate_removable_sets(G, s, mode):
         count += 1
-        val, cert, _ = _classical_kernel(G.n, _removed_masks(G, F), which)
+        val, cert, _ = _classical_kernel(G.n, _minus(adj, edges, F), which)
         if best is None or (val < best[0] if minimize else val > best[0]):
             best = (val, F, cert)
     val, F, cert = best
-    return val, dict(cert, removed_edges=[list(e) for e in sorted(F)]), count
+    return val, dict(cert, removed_edges=[list(edges[i]) for i in _bits(F)]), count
 
 
 def test_skipping_sets_keeps_the_first_best_set():

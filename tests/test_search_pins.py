@@ -24,13 +24,14 @@ from collections import Counter
 
 import pytest
 
-from robusta import (Graph, complete, cycle, dp_robust, erdos_renyi,
-                     heuristic_decomposition, make_nice, maximal_outerplanar,
-                     oracle_robust, robust_parameter, robust_via_maximal)
+from robusta import (Graph, classical_parameter, complete, cycle, dp_robust,
+                     erdos_renyi, heuristic_decomposition, make_nice,
+                     maximal_outerplanar, oracle_robust, robust_parameter,
+                     robust_via_maximal)
 from robusta import exact
-from robusta.exact import _complement_masks, _removed_masks
-from robusta.treewidth import (_AlphaStrategy, _ChiStrategy, _norm, _payable,
-                               _run_dp, _subsets)
+from robusta.exact import _bits, _complement_masks, _edge_bits, _minus
+from robusta.treewidth import (_AlphaStrategy, _ChiStrategy, _payable, _run_dp,
+                               _subsets)
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 EXACT_GRAPHS = [(n, p, seed) for n in (6, 7, 8, 9) for p, seed in ((0.4, n), (0.6, n + 10))]
@@ -132,6 +133,29 @@ DEEP_CHI_PRIME_PINNED = {
     1: "156591f2dcecf43323c5165e8b8c8c5b1af85a339b0488d9bae98a42542dd6b0",
     2: "5ca575fdd86e9d078887f3093b7119943c1e1fd8ed6ee3d7c2665fda0a14c50e",
 }
+
+# graphs on which chi'_s ends in its D* + 1 fallback: phase 2 finds no
+# maximal removable set that leaves a D*-edge-colourable graph
+CHI_PRIME_FALLBACK_GRAPHS = {1: [(7, 0.5, 29), (7, 0.7, 18), (7, 0.9, 3)],
+                             2: [(7, 0.9, 6), (9, 0.7, 1), (9, 0.7, 7)]}
+CHI_PRIME_FALLBACK_PINNED = {
+    1: "27d2389773e4549890a90e0473fb0cab0147a6fc22416da97b1634cf5d052d15",
+    2: "3ceb30673e822adc7a0503b79d817832f8daec5d1ad5f93428736e166053c808",
+    "petersen": "15474b6717c68bce4d065907bff54d860f436c8e14f5aec586e2468e4e9f60d5",
+}
+
+
+def _fallback_graphs(s):
+    """K5 at s = 1, then the seeded graphs of CHI_PRIME_FALLBACK_GRAPHS."""
+    head = [complete(5)] if s == 1 else []
+    return head + [erdos_renyi(*spec) for spec in CHI_PRIME_FALLBACK_GRAPHS[s]]
+
+
+def petersen():
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
 
 # sha256 of the value list alone (no certificate, no node count) of every
 # exact:* key of PINNED and of both DEEP_CHI_PRIME_GRAPHS budgets
@@ -279,6 +303,33 @@ def test_deep_chi_prime_walks_are_pinned(s):
     assert _results_digest("exact", "chi_prime", s, graphs) == DEEP_CHI_PRIME_PINNED[s]
 
 
+@pytest.mark.parametrize("s", (1, 2))
+def test_chi_prime_fallbacks_are_pinned(s):
+    """The D* + 1 fallback of chi'_s: G - F for F, the phase-1 witness
+    grown to a maximal removable set, coloured by edge_coloring_upper.
+    Each graph takes it, and its removed set contains the witness."""
+    graphs = _fallback_graphs(s)
+    for G in graphs:
+        dstar, F0, _ = exact._min_max_degree(G, s)
+        r = robust_parameter(G, "chi_prime", s)
+        assert r.value == dstar + 1, (G.sorted_edges(), s)
+        bits = _edge_bits(G)
+        removed = sum(bits[u][v] for u, v in r.certificate["removed_edges"])
+        assert F0 & ~removed == 0, (G.sorted_edges(), s)
+    assert _results_digest("exact", "chi_prime", s, graphs) == CHI_PRIME_FALLBACK_PINNED[s]
+
+
+def test_classical_chi_prime_fallback_is_pinned():
+    """The Petersen graph is not 3-edge-colourable and not overfull, so the
+    classical chi' fails its Delta-colouring search and colours it with
+    edge_coloring_upper."""
+    r = classical_parameter(petersen(), "chi_prime")
+    assert (r.value, r.stats["nodes"]) == (4, 28)
+    h = hashlib.sha256(json.dumps([r.value, r.certificate, r.stats["nodes"]],
+                                  sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == CHI_PRIME_FALLBACK_PINNED["petersen"]
+
+
 @pytest.mark.parametrize("key", sorted(EXACT_VALUES_PINNED))
 def test_exact_values_are_pinned(key):
     corpus, which, s = key.split(":")
@@ -330,9 +381,9 @@ def test_removed_and_complement_masks_match_graph():
               erdos_renyi(9, 0.7, 4)]
     for G in graphs:
         edges = G.sorted_edges()
-        for F in (frozenset(), frozenset(edges[::2]), frozenset(edges)):
-            masks = _removed_masks(G, F)
-            H = Graph(G.n, G.edges - F)
+        for F in (0, sum(1 << i for i in range(0, G.m, 2)), (1 << G.m) - 1):
+            masks = _minus(G.adjacency_masks(), edges, F)
+            H = Graph(G.n, G.edges - {edges[i] for i in _bits(F)})
             assert masks == H.adjacency_masks()
             assert _complement_masks(G.n, masks) == H.complement().adjacency_masks()
 
@@ -347,7 +398,7 @@ def test_introduce_rows_never_collide():
     for spec in DP_GRAPHS:
         G = erdos_renyi(*spec)
         edges = G.sorted_edges()
-        index = {e: i for i, e in enumerate(edges)}
+        bits = _edge_bits(G)
         nice = make_nice(heuristic_decomposition(G), G)
         tables, nodes, _ = _run_dp(G, nice, _AlphaStrategy(G, nice.width))
         for node, nd in enumerate(nodes):
@@ -359,7 +410,7 @@ def test_introduce_rows_never_collide():
             made = {}
             for R, A in {key[:2] for key in tables[c]}:
                 for T in _subsets(bag_nbrs):
-                    state = (R | sum(1 << index[_norm(u, v)] for u in T), A)
+                    state = (R | sum(bits[v][u] for u in T), A)
                     assert state not in made, (spec, node, made.get(state), T)
                     made[state] = ((R, A), T)
             kept = {state for state in made if _payable(edges, *state)}

@@ -277,7 +277,7 @@ def test_enumerate_maximal_is_all_filtered_to_unextendable_sets():
                         if not any(F | {e} in feasible for e in edges if e not in F)]
             got = list(removable_edge_sets(G, s, "maximal"))
             assert got == expected, (G.sorted_edges(), s)
-            rank = len(maximal_extension(G, s))
+            rank = maximal_extension(G, s).bit_count()
             assert all(len(F) == rank for F in got), (G.sorted_edges(), s)
 
 
@@ -291,7 +291,7 @@ def _recursive_walk(G, s, mode):
     """The take-then-leave walk as nested generators: the reference order."""
     edges = G.sorted_edges()
     m = len(edges)
-    floor = len(maximal_extension(G, s)) if mode == "maximal" else 0
+    floor = maximal_extension(G, s).bit_count() if mode == "maximal" else 0
     F = RemovableSet(G.n, s)
 
     def dfs(i):
