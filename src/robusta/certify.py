@@ -132,11 +132,9 @@ def validate_result(G: Graph, result: dict) -> None:
             seen.update(cls)
             uf = UnionFind(G.n)
             cset = set(cls)
-            for u, v in G.edges:
-                if u in cset and v in cset:
-                    if uf.find(u) == uf.find(v):
-                        raise CertificateError("forest class contains a cycle")
-                    uf.add_edge(u, v)
+            for e in G.edges:
+                if e[0] in cset and e[1] in cset and not uf.push(e):
+                    raise CertificateError("forest class contains a cycle")
         if seen != set(range(G.n)) or len(classes) != value:
             raise CertificateError("forest partition invalid")
     elif param == "degeneracy":
@@ -194,10 +192,10 @@ def _main(argv) -> int:
         try:
             validate_result(G, r)
         except CertificateError as exc:
-            print(f"error: result {i} ({r['parameter']}): {exc}", file=sys.stderr)
+            print(f"error: result {i} ({r['parameter']!r}): {exc}", file=sys.stderr)
             return 2
         except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
-            print(f"error: result {i} ({r['parameter']}): malformed "
+            print(f"error: result {i} ({r['parameter']!r}): malformed "
                   f"certificate: {exc!r}", file=sys.stderr)
             return 2
     print(f"{len(results)} certificate(s) valid")

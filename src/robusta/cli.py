@@ -230,6 +230,8 @@ def _poly_bounds(G: Graph, base: str, s: int) -> dict:
 
 def cmd_compute(args) -> int:
     t0 = time.perf_counter()
+    if args.s < 0:
+        raise CliError(f"--s must be non-negative, got {args.s}")
     caps = _load_caps(args)
     G, desc = _load_graph(args)
     params = _parse_params(args.param, args.s)

@@ -7,8 +7,8 @@ dumb; the test suite uses it to certify the clever searches.  The oracle and
 the maximal-set tier run one evaluation loop and differ only in the
 enumeration mode.  Every "is F + e still removable" test, in every tier and
 at every budget s, goes through `selection.RemovableSet`, one incremental
-orientation; `UnionFind` serves only the forest test of the arboricity
-search.
+orientation, by push and pop; the partition searches keep one such state
+per class, and arboricity keeps a `UnionFind` forest per class instead.
 
 Strategy notes for the robust (selection-adversarial) parameters:
 
@@ -18,8 +18,7 @@ Strategy notes for the robust (selection-adversarial) parameters:
   because an optimal selection only ever removes monochromatic edges.
 * alpha_s: the best selection deletes exactly the edges inside the target
   set, so alpha_s equals the largest vertex set whose induced subgraph is
-  orientable with out-degree <= s.  For s = 1 this is the same search as
-  iota.
+  orientable with out-degree <= s.  iota is this search at s = 1.
 * omega_s: decision form.  omega_s <= v iff some removable set meets every
   (v+1)-clique; we branch on the edges of an uncovered clique, with density
   (Turan-type), coverage-counting and edge-disjoint-packing prunes.
@@ -293,45 +292,46 @@ def _chi_prime(n: int, masks: list[int]):
 
 
 # ---------------------------------------------------------------------------
-# class feasibility predicates and the partition engine
+# the partition engine
 # ---------------------------------------------------------------------------
 
 
-def _induced_edges(G: Graph, mask: int) -> list[Edge]:
-    return [e for e in G.edges if (mask >> e[0]) & 1 and (mask >> e[1]) & 1]
-
-
-def _mask_orientable(G: Graph, mask: int, s: int) -> bool:
-    F = RemovableSet(G.n, s)
-    return all(F.push(e) for e in _induced_edges(G, mask))
-
-
-def _mask_forest(G: Graph, mask: int) -> bool:
-    uf = UnionFind(G.n)
-    for u, v in _induced_edges(G, mask):
-        ru, rv = uf.find(u), uf.find(v)
-        if ru == rv:
+def _place(state, v: int, nbrs: int) -> bool:
+    """Push the edges from v to the vertex mask `nbrs` onto a class state
+    (a RemovableSet, or a UnionFind as a forest), all or none."""
+    for pushed, u in enumerate(_bits(nbrs)):
+        if not state.push((u, v) if u < v else (v, u)):
+            _unplace(state, pushed)
             return False
-        uf.add_edge(u, v)
     return True
 
 
-def _min_partition(G: Graph, feasible):
-    """Fewest classes with every class mask accepted by `feasible`.
+def _unplace(state, count: int) -> None:
+    """Pop the last `count` edges off a class state."""
+    for _ in range(count):
+        state.pop()
 
-    Iterative deepening over k; vertices placed in descending degree order;
-    only the first empty class is tried (class symmetry).
-    Returns (k, class masks, nodes).
+
+def _min_partition(G: Graph, new_class):
+    """Fewest classes, each holding its induced edges on a state that
+    `new_class()` builds and that accepts them all.
+
+    Iterative deepening over k, with k states per round; vertices placed in
+    descending degree order; only the first empty class is tried (class
+    symmetry).  Placing v pushes its edges to the class onto the class's
+    state.  Returns (k, class masks, nodes).
     """
     n = G.n
     if n == 0:
         return 0, [], 0
+    adj = G.adjacency_masks()
     order = sorted(range(n), key=lambda v: (-G.degree(v), v))
     nodes = 0
 
     def decide(k):
         nonlocal nodes
         classes = [0] * k
+        states = [new_class() for _ in range(k)]
 
         def rec(i):
             nonlocal nodes
@@ -346,11 +346,13 @@ def _min_partition(G: Graph, feasible):
                     if seen_empty:
                         continue
                     seen_empty = True
-                if feasible(classes[ci] | vb):
+                nbrs = classes[ci] & adj[v]
+                if _place(states[ci], v, nbrs):
                     classes[ci] |= vb
                     if rec(i + 1):
                         return True
                     classes[ci] &= ~vb
+                    _unplace(states[ci], nbrs.bit_count())
             return False
 
         return classes if rec(0) else None
@@ -360,33 +362,6 @@ def _min_partition(G: Graph, feasible):
         if classes is not None:
             return k, [c for c in classes if c], nodes
     raise AssertionError("singleton partition must always succeed")
-
-
-def _max_feasible_subset(G: Graph, feasible):
-    """Largest vertex mask accepted by `feasible` (monotone decreasing)."""
-    n = G.n
-    order = sorted(range(n), key=lambda v: (G.degree(v), v))
-    best = 0
-    best_size = 0
-    nodes = 0
-
-    def rec(i, mask, size):
-        nonlocal best, best_size, nodes
-        nodes += 1
-        if size + (n - i) <= best_size:
-            return
-        if i == n:
-            if size > best_size:
-                best, best_size = mask, size
-            return
-        v = order[i]
-        cand = mask | (1 << v)
-        if feasible(cand):
-            rec(i + 1, cand, size + 1)
-        rec(i + 1, mask, size)
-
-    rec(0, 0, 0)
-    return best, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +490,7 @@ def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -
     t0 = time.perf_counter()
     if which == "arboricity":
         _require(G.n <= caps.arboricity_n, "arboricity", G.n, caps.arboricity_n)
-        value, class_masks, nodes = _min_partition(G, lambda mask: _mask_forest(G, mask))
+        value, class_masks, nodes = _min_partition(G, lambda: UnionFind(G.n))
         cert = {"forest_partition": [sorted(_bits(c)) for c in class_masks]}
     elif which == "degeneracy":
         from .poly import degeneracy_order
@@ -541,7 +516,7 @@ def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -
 
 def _chi_robust(G: Graph, s: int):
     """chi_s by partition search, with partition + selection + coloring certificate."""
-    value, class_masks, nodes = _min_partition(G, lambda mask: _mask_orientable(G, mask, s))
+    value, class_masks, nodes = _min_partition(G, lambda: RemovableSet(G.n, s))
     classes = [sorted(_bits(c)) for c in class_masks]
     intra = [e for e in G.sorted_edges()
              if any((c >> e[0]) & 1 and (c >> e[1]) & 1 for c in class_masks)]
@@ -559,22 +534,46 @@ def _chi_robust(G: Graph, s: int):
 
 
 def iota(G: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
-    """Largest vertex set inducing a quasi-unicyclic subgraph."""
+    """Largest vertex set inducing a quasi-unicyclic subgraph: alpha_1."""
     t0 = time.perf_counter()
     _require(G.n <= caps.iota_n, "iota", G.n, caps.iota_n)
-    best, nodes = _max_feasible_subset(G, lambda mask: _mask_orientable(G, mask, 1))
+    value, cert, nodes = _alpha_robust(G, 1)
     elapsed = (time.perf_counter() - t0) * 1000
-    return ParameterResult("iota", 1, best.bit_count(),
-                           {"inducing_set": sorted(_bits(best))},
+    return ParameterResult("iota", 1, value, {"inducing_set": cert["independent_set"]},
                            {"nodes": nodes, "elapsed_ms": elapsed})
 
 
 def _alpha_robust(G: Graph, s: int):
-    best, nodes = _max_feasible_subset(G, lambda mask: _mask_orientable(G, mask, s))
-    vs = sorted(_bits(best))
-    F = _induced_edges(G, best)
-    return len(vs), {"removed_edges": [list(e) for e in sorted(F)],
-                     "independent_set": vs}, nodes
+    """Largest vertex set whose induced edges are removable, by branching
+    on each vertex in ascending degree order (take it, then leave it) with
+    one RemovableSet holding the taken set's induced edges."""
+    n = G.n
+    adj = G.adjacency_masks()
+    order = sorted(range(n), key=lambda v: (G.degree(v), v))
+    state = RemovableSet(n, s)
+    best = 0
+    best_size = 0
+    nodes = 0
+
+    def rec(i, mask, size):
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if size + (n - i) <= best_size:
+            return
+        if i == n:
+            if size > best_size:
+                best, best_size = mask, size
+            return
+        v = order[i]
+        nbrs = mask & adj[v]
+        if _place(state, v, nbrs):
+            rec(i + 1, mask | (1 << v), size + 1)
+            _unplace(state, nbrs.bit_count())
+        rec(i + 1, mask, size)
+
+    rec(0, 0, 0)
+    F = [list(e) for e in G.sorted_edges() if best >> e[0] & 1 and best >> e[1] & 1]
+    return best_size, {"removed_edges": F, "independent_set": sorted(_bits(best))}, nodes
 
 
 def _edge_bits(G: Graph) -> list[dict[int, int]]:

@@ -38,11 +38,11 @@ class UnionFind:
     """Union-find with per-root vertex/edge counters and an undo stack.
 
     add_edge answers whether the growing edge set stays a pseudoforest
-    (every component keeps edges <= vertices).  The solvers use it only as a
-    forest test (`exact._mask_forest`, the arboricity certificate), which
-    compares roots before each add; removability at every s is
-    `RemovableSet`'s.  No path compression, so that checkpoint/rollback undo
-    exactly; only the `perfbench` primitive timing calls them.
+    (every component keeps edges <= vertices).  The solvers use it as a
+    forest, in the arboricity search and its certificate check: push(e)
+    refuses an edge whose ends share a root, and pop() undoes the last
+    push, the push/pop protocol of `RemovableSet`.  No path compression,
+    so that checkpoint/rollback undo exactly; pop is rollback by one step.
     """
 
     def __init__(self, n: int):
@@ -75,6 +75,18 @@ class UnionFind:
         self.edges[ru] += self.edges[rv] + 1
         self.trail.append(("merge", ru, rv, bumped))
         return self.edges[ru] <= self.verts[ru]
+
+    def push(self, e: Edge) -> bool:
+        """Add e if its ends lie in different trees; a refused edge
+        writes nothing."""
+        u, v = e
+        if self.find(u) == self.find(v):
+            return False
+        self.add_edge(u, v)
+        return True
+
+    def pop(self) -> None:
+        self.rollback(len(self.trail) - 1)
 
     def checkpoint(self) -> int:
         return len(self.trail)

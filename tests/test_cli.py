@@ -459,9 +459,11 @@ def test_non_numeric_value_names_its_field_exit3(tmp_path, capsys, argv, message
      "--s-list: expected an integer, got 'x'"),
     (["compute", "--gen", "complete:448", "--param", "chi"],
      "generator 'complete': 100128 vertex pairs above the limit 100000"),
+    (["compute", "--gen", "complete:4", "--param", "arboricity,iota,chi1", "--s", "-1"],
+     "--s must be non-negative, got -1"),
 ], ids=["trials", "trials-limit", "n-max", "corpus-n-max", "corpus-count",
         "corpus-p-range", "corpus-count-integer", "corpus-n-max-integer",
-        "corpus-p-number", "s-list", "gen-order"])
+        "corpus-p-number", "s-list", "gen-order", "compute-s"])
 def test_bad_number_names_its_option_exit3(capsys, argv, message):
     code, report = run_cli([*argv, "--no-timing"])
     assert code == 3 and report is None

@@ -8,6 +8,7 @@ from robusta import (CapExceeded, Graph, canonical_form, classical_parameter,
                      erdos_renyi, iota, line_graph, oracle_robust, path,
                      robust_chromatic, robust_parameter, robust_via_maximal,
                      star)
+from robusta import exact
 from robusta.certify import CertificateError, validate_result
 from robusta.exact import (SolverCaps, _bits, _cannot_beat, _classical_kernel,
                            _clique_partition_targets, _cliques_of_size, _edge_bits,
@@ -388,6 +389,30 @@ def test_iota_equals_alpha1():
     for seed in range(40):
         G = erdos_renyi(4 + seed % 5, 0.5, seed)
         assert iota(G).value == robust_parameter(G, "alpha", 1).value
+
+
+@pytest.mark.parametrize("which, spec, builds", [
+    ("chi", (12, 0.7, 1), 6),  # value 3: rounds of 1, 2 and 3 classes
+    ("alpha", (12, 0.7, 1), 1),
+    ("iota", (14, 0.4, 1), 1),
+])
+def test_partition_searches_keep_one_state_per_class(monkeypatch, which, spec, builds):
+    """The partition searches push and pop edges on live class states: a
+    chi_s solve of value k builds k(k + 1) / 2 RemovableSets (k in each
+    round of its deepening), and an alpha_s or iota solve builds one."""
+    built = []
+
+    class Counted(exact.RemovableSet):
+        def __init__(self, n, s):
+            built.append(s)
+            super().__init__(n, s)
+
+    monkeypatch.setattr(exact, "RemovableSet", Counted)
+    G = erdos_renyi(*spec)
+    res = iota(G) if which == "iota" else robust_parameter(G, which, 1)
+    if which == "chi":
+        assert len(built) == res.value * (res.value + 1) // 2
+    assert len(built) == builds
 
 
 def test_canonical_form():

@@ -1,6 +1,7 @@
-"""Pinned search results: the exact, oracle and maximal tiers and the
-treewidth DP must keep their values, certificates and node or row counts
-byte for byte.
+"""Pinned search results: the exact, oracle and maximal tiers, the
+partition searches of iota and the classical arboricity, and the treewidth
+DP must keep their values, certificates and node or row counts byte for
+byte.
 
 A speed change to a search (bit tricks, fewer temporary objects) must visit
 the same nodes in the same order; these digests catch one that does not.
@@ -25,7 +26,7 @@ from collections import Counter
 import pytest
 
 from robusta import (Graph, classical_parameter, complete, cycle, dp_robust,
-                     erdos_renyi, heuristic_decomposition, make_nice,
+                     erdos_renyi, heuristic_decomposition, iota, make_nice,
                      maximal_outerplanar, oracle_robust, robust_parameter,
                      robust_via_maximal)
 from robusta import exact
@@ -57,6 +58,8 @@ PINNED = {
     "dp-large:chi1": "20222714d0fe8cb2746f9019fa6dcbd2c259d9075acf749d26cf589e8c1b748b",
     "dp-large:omega1": "d90c258027455fc8d61207c43e8c32c0cdf3e49bd6823591ef8ae49322875283",
     "dp-large:theta1": "1ee9d3f1ed49d8d6969afa08d6a2bb18b09fdd07c36219622a33dc10a4fa13d1",
+    "classical:arboricity": "0c2c74e3aa07edd5fd1df331dfe5c32e444aec645bf66852bf7299611c54ba8e",
+    "exact:iota:1": "b662415e8d95c3839302360815b08c7aa494883f3336dc6b3dd3c9333e91c777",
     "exact:chi:1": "abeb28a250cb06e93e1fa52772afcb277c203d2d81121fecadce5946d65c6764",
     "exact:chi:2": "0b64b4154e25f009b54db67c5ad1452c60a653b653f3944b8e2404e8eb41d553",
     "exact:omega:1": "ceb12e61ba9a491688d1c1eac919ec143cb4b200475c2ff58554ce07430f9731",
@@ -230,7 +233,7 @@ def _decomposition_digest():
 
 
 def _digest(engine, which, s):
-    graphs = EXACT_GRAPHS if engine == "exact" else ENUM_GRAPHS
+    graphs = ENUM_GRAPHS if engine in ("oracle", "maximal") else EXACT_GRAPHS
     return _results_digest(engine, which, s, [erdos_renyi(*spec) for spec in graphs])
 
 
@@ -239,12 +242,20 @@ def _bench_shaped_digest(engine, which, s):
                            [_bench_shaped(*spec) for spec in BENCH_SHAPED_GRAPHS])
 
 
-def _results_digest(engine, which, s, graphs):
+def _solve(engine, G, which, s):
+    if which == "iota":
+        return iota(G)
+    if engine == "classical":
+        return classical_parameter(G, which)
     solve = {"exact": robust_parameter, "oracle": oracle_robust,
              "maximal": robust_via_maximal}[engine]
+    return solve(G, which, s)
+
+
+def _results_digest(engine, which, s, graphs):
     h = hashlib.sha256()
     for G in graphs:
-        r = solve(G, which, s)
+        r = _solve(engine, G, which, s)
         h.update(json.dumps([r.value, r.certificate, r.stats["nodes"]],
                             sort_keys=True).encode())
         h.update(b"\n")
@@ -257,7 +268,7 @@ def test_search_digest_is_pinned(key):
     if engine.startswith("dp"):
         got = _dp_digest(which, engine)
     else:
-        got = _digest(engine, which, int(s[0]))
+        got = _digest(engine, which, int(s[0]) if s else 0)
     assert got == PINNED[key]
 
 

@@ -13,7 +13,7 @@ from robusta import (Graph, SSelection, apply_selection, complete, cycle,
 from robusta.exact import canonical_form
 from robusta.graph import star
 from robusta.poly import min_outdegree_orientation, quasi_unicyclic_edge_decomposition
-from robusta.selection import RemovableSet, maximal_extension, orient_with_cap
+from robusta.selection import RemovableSet, UnionFind, maximal_extension, orient_with_cap
 
 from conftest import removable_edge_sets
 
@@ -137,6 +137,23 @@ def test_rejected_push_leaves_the_state_untouched():
         assert F.push((0, 2 * k))  # the new vertex has slack
         F.pop()
         assert _removable_state(F) == before
+
+
+def test_unionfind_push_is_the_forest_test():
+    """push refuses an edge that closes a cycle and writes nothing; a push
+    followed by pop restores every field."""
+    def state(uf):
+        return (uf.parent[:], uf.rank[:], uf.verts[:], uf.edges[:], uf.trail[:])
+
+    uf = UnionFind(5)
+    for e in [(0, 1), (1, 2), (3, 4)]:
+        assert uf.push(e)
+    before = state(uf)
+    assert not uf.push((0, 2))  # closes the triangle 0-1-2
+    assert state(uf) == before
+    assert uf.push((2, 3))  # joins the two trees
+    uf.pop()
+    assert state(uf) == before
 
 
 def test_is_removable_examples():
