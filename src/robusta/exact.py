@@ -312,14 +312,17 @@ def _unplace(state, count: int) -> None:
         state.pop()
 
 
-def _min_partition(G: Graph, new_class):
+def _min_partition(G: Graph, new_class, most_edges):
     """Fewest classes, each holding its induced edges on a state that
     `new_class()` builds and that accepts them all.
 
     Iterative deepening over k, with k states per round; vertices placed in
     descending degree order; only the first empty class is tried (class
     symmetry).  Placing v pushes its edges to the class onto the class's
-    state.  Returns (k, class masks, nodes).
+    state, unless a count refuses it first: a state accepts at most
+    `most_edges(j)` edges on j vertices (s·j for a RemovableSet, j - 1 for
+    a forest), so that placement would be refused anyway.  Returns (k,
+    class masks, nodes).
     """
     n = G.n
     if n == 0:
@@ -332,6 +335,7 @@ def _min_partition(G: Graph, new_class):
         nonlocal nodes
         classes = [0] * k
         states = [new_class() for _ in range(k)]
+        inner = [0] * k  # edges inside each class, all on its state
 
         def rec(i):
             nonlocal nodes
@@ -347,12 +351,16 @@ def _min_partition(G: Graph, new_class):
                         continue
                     seen_empty = True
                 nbrs = classes[ci] & adj[v]
-                if _place(states[ci], v, nbrs):
+                add = nbrs.bit_count()
+                if (inner[ci] + add <= most_edges(classes[ci].bit_count() + 1)
+                        and _place(states[ci], v, nbrs)):
                     classes[ci] |= vb
+                    inner[ci] += add
                     if rec(i + 1):
                         return True
+                    inner[ci] -= add
                     classes[ci] &= ~vb
-                    _unplace(states[ci], nbrs.bit_count())
+                    _unplace(states[ci], add)
             return False
 
         return classes if rec(0) else None
@@ -490,7 +498,7 @@ def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -
     t0 = time.perf_counter()
     if which == "arboricity":
         _require(G.n <= caps.arboricity_n, "arboricity", G.n, caps.arboricity_n)
-        value, class_masks, nodes = _min_partition(G, lambda: UnionFind(G.n))
+        value, class_masks, nodes = _min_partition(G, lambda: UnionFind(G.n), lambda j: j - 1)
         cert = {"forest_partition": [sorted(_bits(c)) for c in class_masks]}
     elif which == "degeneracy":
         from .poly import degeneracy_order
@@ -516,7 +524,8 @@ def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -
 
 def _chi_robust(G: Graph, s: int):
     """chi_s by partition search, with partition + selection + coloring certificate."""
-    value, class_masks, nodes = _min_partition(G, lambda: RemovableSet(G.n, s))
+    value, class_masks, nodes = _min_partition(G, lambda: RemovableSet(G.n, s),
+                                               lambda j: s * j)
     classes = [sorted(_bits(c)) for c in class_masks]
     intra = [e for e in G.sorted_edges()
              if any((c >> e[0]) & 1 and (c >> e[1]) & 1 for c in class_masks)]
@@ -546,7 +555,8 @@ def iota(G: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
 def _alpha_robust(G: Graph, s: int):
     """Largest vertex set whose induced edges are removable, by branching
     on each vertex in ascending degree order (take it, then leave it) with
-    one RemovableSet holding the taken set's induced edges."""
+    one RemovableSet holding the taken set's induced edges.  A take that
+    would hold more than s·size edges is refused by count, before a push."""
     n = G.n
     adj = G.adjacency_masks()
     order = sorted(range(n), key=lambda v: (G.degree(v), v))
@@ -566,9 +576,10 @@ def _alpha_robust(G: Graph, s: int):
             return
         v = order[i]
         nbrs = mask & adj[v]
-        if _place(state, v, nbrs):
+        add = nbrs.bit_count()
+        if len(state.edges) + add <= s * (size + 1) and _place(state, v, nbrs):
             rec(i + 1, mask | (1 << v), size + 1)
-            _unplace(state, nbrs.bit_count())
+            _unplace(state, add)
         rec(i + 1, mask, size)
 
     rec(0, 0, 0)
@@ -836,7 +847,18 @@ def _theta_robust(G: Graph, s: int):
 
 def _min_max_degree(G: Graph, s: int):
     """(D*, F, nodes): the minimum over removable F of the max degree of
-    G - F, and a removable F (edge-bit int) that attains it."""
+    G - F, and a removable F (edge-bit int) that attains it.
+
+    The decision for v branches on the edges at the vertex of largest
+    residual degree (degree in G - F; the highest index on ties).  Each
+    node gets, updated per push: X, the vertex mask of residual degree
+    above v; the excess D, the sum over X of residual - v; and FX, the
+    edges of F with both ends in X, counted through each vertex's mask of
+    F-neighbours.  Hakimi's local prune: a removable F* containing F must
+    supply D incidences in X, each edge of F* - F at most two and two only
+    when both its ends lie in X; F* has at most s·n edges and F*[X] at
+    most s·|X|, so with slack = s·n - |F|, D <= slack + min(slack,
+    s·|X| - FX).  The prune cuts only subtrees without a solution."""
     n, m = G.n, G.m
     if m == 0:
         return 0, 0, 0
@@ -853,43 +875,69 @@ def _min_max_degree(G: Graph, s: int):
         F = RemovableSet(n, s)
         held = 0  # F's edge bits
         residual = degs[:]  # degrees of G - F
+        fnbrs = [0] * n  # F-neighbours of each vertex, as vertex masks
+        can_add = F.can_add
 
-        def rec(banned: int):  # edge bits the subtree may not add, F's too
+        # banned: edge bits the subtree may not add, F's too
+        def rec(banned: int, X: int, D: int, FX: int):
             nonlocal nodes, held
             nodes += 1
-            over = [(residual[x] - v, x) for x in range(n) if residual[x] > v]
-            if not over:
+            if not X:
                 return held
-            deficit = sum(d for d, _ in over)
-            if len(F.edges) + -(-deficit // 2) > budget:
+            slack = budget - len(F.edges)
+            if D > slack + min(slack, s * X.bit_count() - FX):
                 return None
-            over.sort(reverse=True)
-            _, x = over[0]
+            x = top = -1
+            rest = X
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                if residual[y] >= top:
+                    x, top = y, residual[y]
+                rest ^= low
             cand = []
             for w, b in bits[x].items():
-                e = (x, w) if x < w else (w, x)
-                if not banned & b and F.can_add(e):
-                    cand.append((e, b))
-            if len(cand) < residual[x] - v:
+                if not banned & b:
+                    e = (x, w) if x < w else (w, x)
+                    if can_add(e):
+                        cand.append((e, w, b))
+            if len(cand) < top - v:
                 return None
-            for e, b in cand:
+            for e, w, b in cand:
                 # a solution removes some candidate edge and lies in the
                 # branch of its first one: later siblings ban e
                 banned |= b
                 F.push(e)
                 held |= b
-                residual[e[0]] -= 1
-                residual[e[1]] -= 1
-                res = rec(banned)
-                residual[e[0]] += 1
-                residual[e[1]] += 1
+                fnbrs[x] |= 1 << w
+                fnbrs[w] |= 1 << x
+                residual[x] -= 1
+                residual[w] -= 1
+                # x is in X: e lies in F[X] iff w is in X too, and an end
+                # that drops to v leaves X with its F-edges there
+                X2, D2, FX2 = X, D - 1, FX
+                if X >> w & 1:
+                    D2 -= 1
+                    FX2 += 1
+                    if residual[w] == v:
+                        X2 ^= 1 << w
+                        FX2 -= (fnbrs[w] & X2).bit_count()
+                if top == v + 1:
+                    X2 ^= 1 << x
+                    FX2 -= (fnbrs[x] & X2).bit_count()
+                res = rec(banned, X2, D2, FX2)
+                residual[x] += 1
+                residual[w] += 1
+                fnbrs[x] ^= 1 << w
+                fnbrs[w] ^= 1 << x
                 held ^= b
                 F.pop()
                 if res is not None:
                     return res
             return None
 
-        return rec(0)
+        over = [x for x in range(n) if degs[x] > v]
+        return rec(0, sum(1 << x for x in over), sum(degs[x] - v for x in over), 0)
 
     v = lo
     while True:
@@ -913,9 +961,13 @@ def _chi_prime_robust(G: Graph, s: int):
         return 0, {"removed_edges": _removed_edges(edges, F0),
                    "edge_coloring": []}, nodes
 
-    # hunt for a maximal removable set whose removal is D*-edge-chromatic
+    # hunt for a maximal removable set whose removal is D*-edge-chromatic.
+    # F1, phase 1's witness grown to a maximal one, gives the rank (every
+    # maximal set has its size) and is the first leaf tested; it contains
+    # F0, so G - F1 has max degree <= D*, and it is the D* + 1 fallback
     adj = G.adjacency_masks()
-    rank = maximal_extension(G, s).bit_count()
+    F1 = maximal_extension(G, s, F0)
+    rank = F1.bit_count()
     found = None  # (F, edge colouring of G - F)
     F = RemovableSet(n, s)
     held = 0  # F's edge bits
@@ -930,7 +982,7 @@ def _chi_prime_robust(G: Graph, s: int):
         if max(left) > dstar:
             return
         if i == m:
-            if len(F.edges) == rank:  # maximal
+            if len(F.edges) == rank and held != F1:  # maximal, and not F1 again
                 coloring, extra = _edge_coloring_decision(n, _minus(adj, edges, held), dstar)
                 nodes += extra
                 if coloring is not None:
@@ -949,13 +1001,18 @@ def _chi_prime_robust(G: Graph, s: int):
         left[v] -= 1
 
     # every leaf keeps m - rank edges in G - F; above D* * (n // 2) no leaf
-    # can be D*-edge-colourable, so the walk could only fail
+    # can be D*-edge-colourable, so the F1 test and the walk could only fail
     if m - rank <= dstar * (n // 2):
-        dfs(0)
+        coloring, extra = _edge_coloring_decision(n, _minus(adj, edges, F1), dstar)
+        nodes += extra
+        if coloring is not None:
+            found = F1, coloring
+        else:
+            dfs(0)
     if found is not None:
         value, (F, coloring) = dstar, found
     else:
-        value, F = dstar + 1, maximal_extension(G, s, F0)
+        value, F = dstar + 1, F1
         coloring = edge_coloring_upper(Graph(n, _edge_list(n, _minus(adj, edges, F))))
         used = len(set(coloring.values()))
         if used > dstar + 1:

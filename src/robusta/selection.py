@@ -184,10 +184,12 @@ class RemovableSet:
     s = 0 no vertex has slack).  can_add(e) says whether an endpoint of e,
     or a vertex reached from one along directed paths, has out-degree below
     s.  It writes nothing but, on a no, `witness`: the reached set, which
-    spans more than s times its size of the edges of F + e.  push(e) adds e
-    when can_add(e) holds: e leaves the endpoint of smaller out-degree, and
-    if that tail goes over s, one breadth-first hunt finds a vertex with
-    slack and reverses the path to it.  pop() drops the last edge and its
+    spans more than s times its size of the edges of F + e.  push(e) orients
+    e out of the endpoint of smaller out-degree, and if that tail goes over
+    s, one breadth-first hunt from it finds a vertex with slack and reverses
+    the path to it.  The hunt reaches what can_add would, so it is the
+    test: when it finds no slack, push drops the arc again, sets `witness`
+    to the reached set and returns False.  pop() drops the last edge and its
     arc; out-degrees stay within s, and can_add is exact from any valid
     orientation, so the reversals need no undo.  `edges` lists F in push
     order, and heads[i] is the head of edges[i].
@@ -224,8 +226,6 @@ class RemovableSet:
         return False
 
     def push(self, e: Edge) -> bool:
-        if not self.can_add(e):
-            return False
         u, v = e
         outdeg, tails, heads, out_arcs = self.outdeg, self.tails, self.heads, self.out_arcs
         cap = self.cap
@@ -241,6 +241,13 @@ class RemovableSet:
             queue = deque([tail])
             target = None
             while target is None:
+                if not queue:  # no slack within reach: can_add(e) is False
+                    out_arcs[tail].discard(aid)
+                    outdeg[tail] -= 1
+                    tails.pop()
+                    heads.pop()
+                    self.witness = visited
+                    return False
                 x = queue.popleft()
                 for a in out_arcs[x]:
                     y = heads[a]

@@ -192,6 +192,24 @@ def test_min_max_degree_matches_brute_force(s):
         assert witness in removable and max_degree(witness) == dstar, (spec, witness)
 
 
+@pytest.mark.parametrize("spec,value,most_nodes", [
+    ((12, 0.8, 3), 7, 1_000),
+    ((12, 0.5, 2), 4, 1_000),
+    ((10, 0.5, 1), 4, 5_000),
+    ((11, 0.7, 6), 6, 1_000),
+    ((12, 0.9, 4), 9, 100_000),
+])
+def test_chi_prime_at_the_cap_is_bounded(spec, value, most_nodes):
+    """chi'_1 at the robust_n = 12 cap, on graphs whose solves took 100,000
+    to 850,000 nodes (and one that did not end in 300 s) before phase 1
+    had Hakimi's local prune and phase 2 tried phase 1's witness first."""
+    G = erdos_renyi(*spec)
+    r = robust_parameter(G, "chi_prime", 1)
+    assert r.value == value
+    assert r.stats["nodes"] <= most_nodes, r.stats["nodes"]
+    validate_result(G, as_dict(r))
+
+
 def test_cannot_beat_is_sound_on_all_small_graphs():
     """Whenever the enumeration tiers' skip test says G - F cannot beat the
     incumbent, the classical kernel agrees; and the test decides the cases

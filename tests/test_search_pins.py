@@ -30,7 +30,9 @@ from robusta import (Graph, classical_parameter, complete, cycle, dp_robust,
                      maximal_outerplanar, oracle_robust, robust_parameter,
                      robust_via_maximal)
 from robusta import exact
-from robusta.exact import _bits, _complement_masks, _edge_bits, _minus
+from robusta.exact import (_bits, _complement_masks, _edge_bits, _edge_coloring_decision,
+                           _minus)
+from robusta.selection import maximal_extension
 from robusta.treewidth import (_AlphaStrategy, _ChiStrategy, _payable, _run_dp,
                                _subsets)
 
@@ -68,8 +70,8 @@ PINNED = {
     "exact:alpha:2": "69f14d7d3e10b801a138079750aa519f914af82fbc39fe4566e1be77d214e0b8",
     "exact:theta:1": "93b5087f3d1512e7f4fd3c4e33e6adb88142e12c21ace956f552c847d9584808",
     "exact:theta:2": "ee8859c4213b0bf1ce75c25979def3a2c00cfc7800d4ea570131067eae32088c",
-    "exact:chi_prime:1": "3c9decd0e2146880a77c213b0ba1a890e0586517640e5739bf40da993beff365",
-    "exact:chi_prime:2": "2e5e561792a67b106c8e446ff27f04595fe0a44b678c60b4eac4d0a1f056dd6c",
+    "exact:chi_prime:1": "231288cf8d98f396c2f5e66ff69a2feae15cd13fc26307725ddb16320daf659a",
+    "exact:chi_prime:2": "f1a63d6fa50cac9e87fb8ca21a37393762ff2b630ba8ebe4d6063f3fc1ea9f22",
     "oracle:chi:1": "860c5f47d8e0bd71be73ab2ad50be8dd89162215bca0c973a28d0eab6f06d3e4",
     "oracle:chi:2": "ec86e4bd998d52e1c3a08c700986093f38f9e5bb031bcb541c86f18e71478a39",
     "oracle:omega:1": "439e416230980c6043bea02556ea0819196e6781064b34e220f593fd2b1f9fbf",
@@ -128,13 +130,15 @@ def _bench_shaped(n, m, seed):
         seed += 1
 
 
-# chi'_s walks of 5,000-20,000 nodes, deeper than EXACT_GRAPHS reaches
-# (at most 4,608 nodes at s = 1 and 140 at s = 2), per budget s
+# chi'_s solves of 5,000-20,000 nodes when pinned, per budget s.  Since
+# phase 2 tests phase 1's witness grown to a maximal set (F1) before its
+# walk, (10, 0.5, 2) at s = 1 and (9, 0.5, 1) at s = 2 still walk, 8,044
+# and 11,930 nodes; the others end at F1
 DEEP_CHI_PRIME_GRAPHS = {1: [(9, 0.5, 2), (10, 0.5, 2), (10, 0.5, 3)],
                          2: [(9, 0.5, 1), (10, 0.5, 1)]}
 DEEP_CHI_PRIME_PINNED = {
-    1: "156591f2dcecf43323c5165e8b8c8c5b1af85a339b0488d9bae98a42542dd6b0",
-    2: "5ca575fdd86e9d078887f3093b7119943c1e1fd8ed6ee3d7c2665fda0a14c50e",
+    1: "4973a7c18f0f402b545a2f35f6600f26bca2be1450e80850f2a805f528d808d7",
+    2: "705769d1589dcc365fe7f05fc04aec7b457dd8a01352d2c91440fd5dc3577741",
 }
 
 # graphs on which chi'_s ends in its D* + 1 fallback: phase 2 finds no
@@ -146,6 +150,20 @@ CHI_PRIME_FALLBACK_PINNED = {
     2: "3ceb30673e822adc7a0503b79d817832f8daec5d1ad5f93428736e166053c808",
     "petersen": "15474b6717c68bce4d065907bff54d860f436c8e14f5aec586e2468e4e9f60d5",
 }
+
+
+# sha256 of (D*, F0) alone, phase 1's value and first witness, over
+# EXACT_GRAPHS, DEEP_CHI_PRIME_GRAPHS[s] and _fallback_graphs(s): a prune
+# in phase 1 may change its node count, never which witness it finds
+MIN_MAX_DEGREE_PINNED = {
+    1: "5f8716c76c1e49cfc23da6467ee4cf616c3bf3f361762f800259b734789c3677",
+    2: "a82a60166fd76a7d3f6a3c1988ad5b2b31072553de0b6d09b10a3c909335c095",
+}
+
+# graphs on which G - F1 is not D*-edge-colourable and the walk then finds
+# a maximal removable set that leaves a D*-edge-colourable graph
+CHI_PRIME_WALK_GRAPHS = {1: [(6, 0.6, 23), (6, 0.6, 28)],
+                         2: [(7, 0.7, 19), (8, 0.7, 8)]}
 
 
 def _fallback_graphs(s):
@@ -328,6 +346,38 @@ def test_chi_prime_fallbacks_are_pinned(s):
         removed = sum(bits[u][v] for u, v in r.certificate["removed_edges"])
         assert F0 & ~removed == 0, (G.sorted_edges(), s)
     assert _results_digest("exact", "chi_prime", s, graphs) == CHI_PRIME_FALLBACK_PINNED[s]
+
+
+@pytest.mark.parametrize("s", sorted(MIN_MAX_DEGREE_PINNED))
+def test_min_max_degree_witness_is_pinned(s):
+    graphs = ([erdos_renyi(*spec) for spec in EXACT_GRAPHS + DEEP_CHI_PRIME_GRAPHS[s]]
+              + _fallback_graphs(s))
+    h = hashlib.sha256()
+    for G in graphs:
+        dstar, F0, _ = exact._min_max_degree(G, s)
+        h.update(json.dumps([dstar, F0]).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == MIN_MAX_DEGREE_PINNED[s]
+
+
+@pytest.mark.parametrize("s", sorted(CHI_PRIME_WALK_GRAPHS))
+def test_chi_prime_walks_past_a_failing_f1(s):
+    """Phase 2 tests F1 = maximal_extension(G, s, F0) first; where G - F1
+    is not D*-edge-colourable, the walk over the maximal sets still finds
+    another set that is, and chi'_s = D*."""
+    for spec in CHI_PRIME_WALK_GRAPHS[s]:
+        G = erdos_renyi(*spec)
+        edges = G.sorted_edges()
+        dstar, F0, _ = exact._min_max_degree(G, s)
+        F1 = maximal_extension(G, s, F0)
+        coloring, _ = _edge_coloring_decision(G.n, _minus(G.adjacency_masks(), edges, F1),
+                                              dstar)
+        assert coloring is None, (spec, s)
+        r = robust_parameter(G, "chi_prime", s)
+        assert r.value == dstar, (spec, s)
+        bits = _edge_bits(G)
+        removed = sum(bits[u][v] for u, v in r.certificate["removed_edges"])
+        assert removed != F1 and removed.bit_count() == F1.bit_count(), (spec, s)
 
 
 def test_classical_chi_prime_fallback_is_pinned():

@@ -139,6 +139,35 @@ def test_rejected_push_leaves_the_state_untouched():
         assert _removable_state(F) == before
 
 
+def test_refused_push_matches_can_add():
+    """push runs one breadth-first hunt with e already added, and that
+    hunt is the removability test: on random push/pop walks push accepts
+    exactly when can_add does, and a refused push restores outdeg, tails,
+    heads and every vertex's out_arcs and leaves can_add's witness."""
+    rng = random.Random(11)
+    refused = 0
+    for trial in range(300):
+        n, s = rng.randint(3, 9), rng.randint(0, 3)
+        pairs = list(itertools.combinations(range(n), 2))
+        F = RemovableSet(n, s)
+        for _ in range(40):
+            if F.edges and rng.random() < 0.3:
+                F.pop()
+                continue
+            e = rng.choice([p for p in pairs if p not in F.edges] or [None])
+            if e is None:
+                break
+            before = _removable_state(F)
+            ok = F.can_add(e)
+            reached = F.witness
+            assert F.push(e) == ok, (trial, e)
+            if not ok:
+                refused += 1
+                assert _removable_state(F) == before, (trial, e)
+                assert F.witness == reached, (trial, e)
+    assert refused > 500
+
+
 def test_unionfind_push_is_the_forest_test():
     """push refuses an edge that closes a cycle and writes nothing; a push
     followed by pop restores every field."""

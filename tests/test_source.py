@@ -79,7 +79,7 @@ BENCH_SHAPED_6_8 = "erdos_renyi:6,0.5333333333333333"
 @pytest.mark.parametrize("args", [
     ["--gen", "erdos_renyi:8,0.5", "--seed", "3",
      "--param", "chi,omega,alpha,theta,chiprime", "--s", "1"],
-    # 21 edges, D* = 2: chi'_2 = 2 is found by phase 2, in 151 nodes
+    # 21 edges, D* = 2: chi'_2 = 2 is found by phase 2, in 19 nodes
     ["--gen", "erdos_renyi:8,0.7", "--seed", "3",
      "--param", "chi,omega,alpha,theta,chiprime", "--s", "2"],
     ["--gen", BENCH_SHAPED_6_8, "--seed", "40",
@@ -92,7 +92,12 @@ BENCH_SHAPED_6_8 = "erdos_renyi:6,0.5333333333333333"
      "--param", "chi,omega,alpha,theta,chiprime", "--s", "2", "--engine", "maximal"],
     ["--gen", "erdos_renyi:9,0.35", "--seed", "4",
      "--param", "chi1,omega1,alpha1,theta1", "--engine", "dp"],
-], ids=["exact-s1", "exact-s2", "oracle-s1", "maximal-s1", "oracle-s2", "maximal-s2", "dp"])
+    # chi'_1 = D* = 7: phase 2 ends at phase 1's witness grown to a maximal set
+    ["--gen", "erdos_renyi:12,0.8", "--seed", "3", "--param", "chi1prime"],
+    # chi'_1 = D* = 2: that set fails the 2-edge-colouring, and the walk finds another
+    ["--gen", "erdos_renyi:6,0.6", "--seed", "23", "--param", "chi1prime"],
+], ids=["exact-s1", "exact-s2", "oracle-s1", "maximal-s1", "oracle-s2", "maximal-s2", "dp",
+        "chiprime-f1", "chiprime-walk"])
 def test_optimized_mode_report_is_identical(args):
     """`python -O` runs the same code minus `assert`: the report bytes of the
     exact, oracle and maximal tiers and the treewidth DP must not change."""
