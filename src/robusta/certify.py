@@ -66,10 +66,9 @@ def validate_result(G: Graph, result: dict) -> None:
             if (u, v) not in F and coloring[u] == coloring[v]:
                 raise CertificateError(f"surviving edge ({u},{v}) monochromatic")
         if s and "partition" in cert:
-            seen: set[int] = set()
-            for cls in cert["partition"]:
-                seen.update(cls)
-            if seen != set(range(G.n)):
+            members = [v for cls in cert["partition"] for v in cls]
+            _check_vertices(G, members, "partition")
+            if len(members) != G.n:
                 raise CertificateError("partition does not cover the vertices")
     elif param == "omega":
         clique = cert["clique"]
@@ -127,15 +126,15 @@ def validate_result(G: Graph, result: dict) -> None:
                     seen_colors.add(coloring[e])
     elif param == "arboricity":
         classes = cert["forest_partition"]
-        seen = set()
+        members = [v for cls in classes for v in cls]
+        _check_vertices(G, members, "forest partition")
         for cls in classes:
-            seen.update(cls)
             uf = UnionFind(G.n)
             cset = set(cls)
             for e in G.edges:
                 if e[0] in cset and e[1] in cset and not uf.push(e):
                     raise CertificateError("forest class contains a cycle")
-        if seen != set(range(G.n)) or len(classes) != value:
+        if len(members) != G.n or len(classes) != value:
             raise CertificateError("forest partition invalid")
     elif param == "degeneracy":
         order = cert["elimination_ordering"]

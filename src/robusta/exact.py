@@ -26,9 +26,11 @@ Strategy notes for the robust (selection-adversarial) parameters:
   set whose removal defeats every B-class clique cover; branch on the
   internal edges of a concrete minimum cover of the current removed graph.
 * chi_prime_s: two phases.  First minimize the maximum degree D* of the
-  removed graph (deficit-driven branching); the answer is then D* or D*+1,
-  settled by hunting for a maximal removable set whose removal leaves a
-  D*-edge-chromatic graph.
+  removed graph (deficit-driven branching); the answer is then D* or D*+1.
+  The classical chi' of G - F1, phase 1's witness grown to a maximal set,
+  settles it unless that is D* + 1; then `enumerate_removable_sets`, the
+  one walk over the maximal sets, with keep = D*, hunts for another whose
+  removal leaves a D*-edge-chromatic graph.
 """
 
 from __future__ import annotations
@@ -948,6 +950,11 @@ def _min_max_degree(G: Graph, s: int):
 
 
 def _chi_prime_robust(G: Graph, s: int):
+    """(chi'_s, certificate, nodes): phase 1's D* and witness F0, then the
+    classical chi' of G - F1, F1 being F0 grown to a maximal set, and, if
+    that is D* + 1, the first other maximal set whose G - F is
+    D*-edge-colourable.  nodes counts phase 1's nodes, the edge-colouring
+    nodes and the sets the walk yields."""
     n, m = G.n, G.m
     if m == 0:
         return 0, {"removed_edges": [], "edge_coloring": []}, 0
@@ -961,65 +968,30 @@ def _chi_prime_robust(G: Graph, s: int):
         return 0, {"removed_edges": _removed_edges(edges, F0),
                    "edge_coloring": []}, nodes
 
-    # hunt for a maximal removable set whose removal is D*-edge-chromatic.
-    # F1, phase 1's witness grown to a maximal one, gives the rank (every
-    # maximal set has its size) and is the first leaf tested; it contains
-    # F0, so G - F1 has max degree <= D*, and it is the D* + 1 fallback
+    # F1, phase 1's witness grown to a maximal set, contains F0, so G - F1
+    # has max degree D*, and the classical kernel settles it at D* or D* + 1
     adj = G.adjacency_masks()
     F1 = maximal_extension(G, s, F0)
-    rank = F1.bit_count()
-    found = None  # (F, edge colouring of G - F)
-    F = RemovableSet(n, s)
-    held = 0  # F's edge bits
-    left = [0] * n  # per vertex, edges walked past and left in G - F
-
-    def dfs(i: int):
-        nonlocal found, nodes, held
-        if found is not None:
-            return
-        nodes += 1
-        # degree prune: every vertex must still be reducible to <= dstar
-        if max(left) > dstar:
-            return
-        if i == m:
-            if len(F.edges) == rank and held != F1:  # maximal, and not F1 again
-                coloring, extra = _edge_coloring_decision(n, _minus(adj, edges, held), dstar)
-                nodes += extra
-                if coloring is not None:
-                    found = held, coloring
-            return
-        if F.push(edges[i]):
-            held |= 1 << i
-            dfs(i + 1)
-            held ^= 1 << i
-            F.pop()
-        u, v = edges[i]
-        left[u] += 1
-        left[v] += 1
-        dfs(i + 1)
-        left[u] -= 1
-        left[v] -= 1
-
-    # every leaf keeps m - rank edges in G - F; above D* * (n // 2) no leaf
-    # can be D*-edge-colourable, so the F1 test and the walk could only fail
-    if m - rank <= dstar * (n // 2):
-        coloring, extra = _edge_coloring_decision(n, _minus(adj, edges, F1), dstar)
-        nodes += extra
-        if coloring is not None:
-            found = F1, coloring
-        else:
-            dfs(0)
-    if found is not None:
-        value, (F, coloring) = dstar, found
-    else:
-        value, F = dstar + 1, F1
-        coloring = edge_coloring_upper(Graph(n, _edge_list(n, _minus(adj, edges, F))))
-        used = len(set(coloring.values()))
-        if used > dstar + 1:
-            # F contains F0, so G - F has max degree <= D*; the fan-rotation
-            # colouring then uses at most D* + 1 colours
-            raise AssertionError(f"chi'_{s} search: edge colouring of G - F uses "
-                                 f"{used} colours, more than D* + 1 = {dstar + 1}")
+    value, coloring, extra = _chi_prime(n, _minus(adj, edges, F1))
+    nodes += extra
+    if value not in (dstar, dstar + 1):
+        raise AssertionError(f"chi'_{s} search: G - F1 has chromatic index {value}, "
+                             f"not D* = {dstar} or D* + 1")
+    F = F1
+    # every maximal set keeps m - rank edges in G - F; above D* * (n // 2)
+    # none is D*-edge-colourable (the kernel's overfull test), else walk the
+    # maximal sets whose G - F keeps max degree D*.  robust_n bounds the
+    # walk, so the enumeration tiers' edge guard is lifted (edge_cap=m)
+    if value > dstar and m - F1.bit_count() <= dstar * (n // 2):
+        for F2 in enumerate_removable_sets(G, s, "maximal", edge_cap=m, keep=dstar):
+            nodes += 1
+            if F2 == F1:
+                continue
+            found, extra = _edge_coloring_decision(n, _minus(adj, edges, F2), dstar)
+            nodes += extra
+            if found is not None:
+                value, F, coloring = dstar, F2, found
+                break
     return value, {"removed_edges": _removed_edges(edges, F),
                    "edge_coloring": [[list(e), c] for e, c in sorted(coloring.items())]}, nodes
 

@@ -370,17 +370,21 @@ DEFAULT_ENUM_MAXIMAL_EDGE_CAP = 24
 
 
 def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
-                             edge_cap: int | None = None) -> Iterator[int]:
+                             edge_cap: int | None = None,
+                             keep: int | None = None) -> Iterator[int]:
     """Stream the removable edge sets of G at budget s, each as an edge-bit
     int: bit i is set when F holds edge i of G.sorted_edges().
 
     mode 'all' yields every removable set exactly once; 'maximal' yields
-    exactly the inclusion-maximal ones, the sets of rank size.  The walk
-    branches on each edge in sorted order (take it if a RemovableSet accepts
-    the push, then leave it), so feasibility costs one incremental push per
-    branch; in mode 'maximal' it drops a branch that cannot reach the rank.
-    The tree is walked in one loop: `taken` holds the edge indices of F,
-    each a take decision whose leave branch is still to come, so
+    exactly the inclusion-maximal ones, the sets of rank size; `keep`, if
+    set, drops the sets whose G - F has a degree above it, in order.  The
+    walk branches on each edge in sorted order (take it if a RemovableSet
+    accepts the push, then leave it), so feasibility costs one incremental
+    push per branch; in mode 'maximal' it drops a branch that cannot reach
+    the rank, and with `keep` it refuses to leave edge i at an end that
+    would then keep more than `keep` of its edges up to i, read off F's
+    bits.  The tree is walked in one loop: `taken` holds the edge indices
+    of F, each a take decision whose leave branch is still to come, so
     backtracking pops the last one, clears its bit and resumes just past
     it.  The guard caps keep the exponential walk at desk scale.
     """
@@ -395,6 +399,21 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     edges = G.sorted_edges()
     m = len(edges)
     floor = maximal_extension(G, s).bit_count() if mode == "maximal" else 0
+    ends = None
+    if keep is not None:
+        # per edge i, each end's edges up to i as edge bits: leaving edge i
+        # keeps those that F does not hold
+        star = [0] * G.n
+        ends = []
+        for i, (u, v) in enumerate(edges):
+            star[u] |= 1 << i
+            star[v] |= 1 << i
+            ends.append((star[u], star[v]))
+
+    def leaves(i: int, bits: int) -> bool:
+        su, sv = ends[i]
+        return (su & ~bits).bit_count() <= keep and (sv & ~bits).bit_count() <= keep
+
     F = RemovableSet(G.n, s)
     push, pop = F.push, F.pop
     taken: list[int] = []
@@ -402,16 +421,22 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     i = 0
     while True:
         if len(taken) + m - i >= floor:
-            if i < m:
-                if push(edges[i]):
-                    taken.append(i)
-                    bits |= 1 << i
+            if i == m:
+                yield bits
+            elif push(edges[i]):
+                taken.append(i)
+                bits |= 1 << i
                 i += 1
                 continue
-            yield bits
-        if not taken:
+            elif ends is None or leaves(i, bits):
+                i += 1
+                continue
+        while taken:  # back to the last take whose leave branch is allowed
+            pop()
+            i = taken.pop()
+            bits ^= 1 << i
+            if ends is None or leaves(i, bits):
+                break
+        else:
             return
-        pop()
-        i = taken.pop()
-        bits ^= 1 << i
         i += 1

@@ -14,7 +14,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robusta import Graph, cli, complete, path, robust_parameter
+from robusta import Graph, cli, complete, cycle, path, robust_parameter
 from robusta.certify import CertificateError, _main, validate_result
 from robusta.exact import classical_parameter, iota
 from robusta.graphio import write_dimacs
@@ -169,12 +169,22 @@ def test_certify_main_rejects_bad_removed_set(field, value, message):
     (path(3), {"parameter": "iota", "s": 1, "value": 4,
                "certificate": {"inducing_set": [0, 1, 2, 5]}},
      "inducing set names 5, not a vertex of the graph"),
+    (cycle(5), {"parameter": "chi", "s": 1, "value": 1,
+                "certificate": {"removed_edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]],
+                                "coloring": [0, 0, 0, 0, 0],
+                                "partition": [[0, 1, 2, 3, 4], [1]]}},
+     "partition repeats vertex 1"),
+    (cycle(5), {"parameter": "arboricity", "s": 0, "value": 2,
+                "certificate": {"forest_partition": [[0, 1, 2, 3], [3, 4]]}},
+     "forest partition repeats vertex 3"),
 ], ids=["alpha-repeated", "alpha-out-of-range", "omega-out-of-range",
-        "omega-empty-graph", "iota-out-of-range"])
+        "omega-empty-graph", "iota-out-of-range", "chi-partition-repeated",
+        "arboricity-repeated"])
 def test_vertex_lists_name_distinct_vertices(graph, result, message):
-    """A clique, independent set or inducing set that repeats a vertex or
-    names one outside 0..n-1 is invalid, even where its pairs and its size
-    would pass: validate_result raises and certify exits 2."""
+    """A clique, independent set, inducing set or the classes of a partition
+    that repeat a vertex or name one outside 0..n-1 are invalid, even where
+    their pairs and their size would pass: validate_result raises and
+    certify exits 2."""
     with pytest.raises(CertificateError, match=message):
         validate_result(graph, result)
     code, out, err = _certify(result, graph)

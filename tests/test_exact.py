@@ -198,11 +198,14 @@ def test_min_max_degree_matches_brute_force(s):
     ((10, 0.5, 1), 4, 5_000),
     ((11, 0.7, 6), 6, 1_000),
     ((12, 0.9, 4), 9, 100_000),
+    ((8, 0.7, 8), 4, 10_000),
 ])
 def test_chi_prime_at_the_cap_is_bounded(spec, value, most_nodes):
     """chi'_1 at the robust_n = 12 cap, on graphs whose solves took 100,000
     to 850,000 nodes (and one that did not end in 300 s) before phase 1
-    had Hakimi's local prune and phase 2 tried phase 1's witness first."""
+    had Hakimi's local prune and phase 2 tried phase 1's witness first.
+    On (8, 0.7, 8) phase 2 walks; with the walk's rank prune it takes
+    8,811 nodes, against 27,864 for a walk with the degree prune alone."""
     G = erdos_renyi(*spec)
     r = robust_parameter(G, "chi_prime", 1)
     assert r.value == value

@@ -70,8 +70,8 @@ PINNED = {
     "exact:alpha:2": "69f14d7d3e10b801a138079750aa519f914af82fbc39fe4566e1be77d214e0b8",
     "exact:theta:1": "93b5087f3d1512e7f4fd3c4e33e6adb88142e12c21ace956f552c847d9584808",
     "exact:theta:2": "ee8859c4213b0bf1ce75c25979def3a2c00cfc7800d4ea570131067eae32088c",
-    "exact:chi_prime:1": "231288cf8d98f396c2f5e66ff69a2feae15cd13fc26307725ddb16320daf659a",
-    "exact:chi_prime:2": "f1a63d6fa50cac9e87fb8ca21a37393762ff2b630ba8ebe4d6063f3fc1ea9f22",
+    "exact:chi_prime:1": "f16c034363bf59e2d335200802767ecbe7a3a21dadd72fa8984f94fa96d1d985",
+    "exact:chi_prime:2": "366675cc139cd20c36d548e8255c9c2f099c4c50fb0342e1a296b347dd92b059",
     "oracle:chi:1": "860c5f47d8e0bd71be73ab2ad50be8dd89162215bca0c973a28d0eab6f06d3e4",
     "oracle:chi:2": "ec86e4bd998d52e1c3a08c700986093f38f9e5bb031bcb541c86f18e71478a39",
     "oracle:omega:1": "439e416230980c6043bea02556ea0819196e6781064b34e220f593fd2b1f9fbf",
@@ -130,15 +130,16 @@ def _bench_shaped(n, m, seed):
         seed += 1
 
 
-# chi'_s solves of 5,000-20,000 nodes when pinned, per budget s.  Since
-# phase 2 tests phase 1's witness grown to a maximal set (F1) before its
-# walk, (10, 0.5, 2) at s = 1 and (9, 0.5, 1) at s = 2 still walk, 8,044
-# and 11,930 nodes; the others end at F1
+# chi'_s solves of 5,000-20,000 nodes when first pinned, per budget s.
+# Phase 2 tests phase 1's witness grown to a maximal set (F1) first; on
+# (10, 0.5, 2) at s = 1 and (9, 0.5, 1) at s = 2 it fails, and the walk
+# (enumerate_removable_sets with keep = D*) brings each solve to 221
+# nodes; the others end at F1
 DEEP_CHI_PRIME_GRAPHS = {1: [(9, 0.5, 2), (10, 0.5, 2), (10, 0.5, 3)],
                          2: [(9, 0.5, 1), (10, 0.5, 1)]}
 DEEP_CHI_PRIME_PINNED = {
-    1: "4973a7c18f0f402b545a2f35f6600f26bca2be1450e80850f2a805f528d808d7",
-    2: "705769d1589dcc365fe7f05fc04aec7b457dd8a01352d2c91440fd5dc3577741",
+    1: "9638c9f7d0891c05c48460bb6c8bacc4292ad49951ef6a80e42b20ce6816e186",
+    2: "12ac7e4000a280228fbb971b288d64f5ec570cecfb555d6c7323010617b3ee96",
 }
 
 # graphs on which chi'_s ends in its D* + 1 fallback: phase 2 finds no
@@ -164,6 +165,15 @@ MIN_MAX_DEGREE_PINNED = {
 # a maximal removable set that leaves a D*-edge-colourable graph
 CHI_PRIME_WALK_GRAPHS = {1: [(6, 0.6, 23), (6, 0.6, 28)],
                          2: [(7, 0.7, 19), (8, 0.7, 8)]}
+
+# sha256 of (value, certificate) alone, no node count, of chi'_s over
+# EXACT_GRAPHS, DEEP_CHI_PRIME_GRAPHS[s], _fallback_graphs(s) and
+# CHI_PRIME_WALK_GRAPHS[s]: a change to how phase 2 walks may re-pin node
+# counts, never which set and colouring it settles on
+CHI_PRIME_CERTIFICATES_PINNED = {
+    1: "dfba3ea6939842d6b6e7b59db572bfe5ed6b5ccc934cf5afedbf45466b0243a5",
+    2: "ea2f50142af464d966ea2d61e4ea0c46a71fd66cf586a2248a998243f58a6014",
+}
 
 
 def _fallback_graphs(s):
@@ -361,10 +371,19 @@ def test_min_max_degree_witness_is_pinned(s):
 
 
 @pytest.mark.parametrize("s", sorted(CHI_PRIME_WALK_GRAPHS))
-def test_chi_prime_walks_past_a_failing_f1(s):
+def test_chi_prime_walks_past_a_failing_f1(monkeypatch, s):
     """Phase 2 tests F1 = maximal_extension(G, s, F0) first; where G - F1
     is not D*-edge-colourable, the walk over the maximal sets still finds
-    another set that is, and chi'_s = D*."""
+    another set that is, and chi'_s = D*.  That walk is the shared
+    enumerate_removable_sets, in mode 'maximal' with keep = D*."""
+    walks = []
+    walk = exact.enumerate_removable_sets
+
+    def counted(G, s, mode="all", *args, **kw):
+        walks.append((mode, kw.get("keep")))
+        return walk(G, s, mode, *args, **kw)
+
+    monkeypatch.setattr(exact, "enumerate_removable_sets", counted)
     for spec in CHI_PRIME_WALK_GRAPHS[s]:
         G = erdos_renyi(*spec)
         edges = G.sorted_edges()
@@ -373,11 +392,26 @@ def test_chi_prime_walks_past_a_failing_f1(s):
         coloring, _ = _edge_coloring_decision(G.n, _minus(G.adjacency_masks(), edges, F1),
                                               dstar)
         assert coloring is None, (spec, s)
+        walks.clear()
         r = robust_parameter(G, "chi_prime", s)
+        assert walks == [("maximal", dstar)], (spec, s)
         assert r.value == dstar, (spec, s)
         bits = _edge_bits(G)
         removed = sum(bits[u][v] for u, v in r.certificate["removed_edges"])
         assert removed != F1 and removed.bit_count() == F1.bit_count(), (spec, s)
+
+
+@pytest.mark.parametrize("s", sorted(CHI_PRIME_CERTIFICATES_PINNED))
+def test_chi_prime_certificates_are_pinned(s):
+    graphs = ([erdos_renyi(*spec) for spec in EXACT_GRAPHS + DEEP_CHI_PRIME_GRAPHS[s]]
+              + _fallback_graphs(s)
+              + [erdos_renyi(*spec) for spec in CHI_PRIME_WALK_GRAPHS[s]])
+    h = hashlib.sha256()
+    for G in graphs:
+        r = robust_parameter(G, "chi_prime", s)
+        h.update(json.dumps([r.value, r.certificate], sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == CHI_PRIME_CERTIFICATES_PINNED[s]
 
 
 def test_classical_chi_prime_fallback_is_pinned():

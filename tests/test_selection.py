@@ -375,6 +375,37 @@ def test_enumerate_walks_in_the_recursive_order():
             list(enumerate_removable_sets(G, 1, mode, edge_cap=G.m - 1))
 
 
+def test_enumerate_keep_filters_by_max_degree_of_what_stays():
+    """With keep = k the walk yields exactly the unbounded stream's sets F
+    whose G - F has maximum degree <= k, in the same order, for every k
+    from 0 to Delta(G), at s = 1, 2 in both modes."""
+    rng = random.Random(28)
+    graphs = 0
+    while graphs < 40:
+        n = rng.randint(1, 7)
+        G = erdos_renyi(n, rng.choice((0.3, 0.5, 0.7, 0.9)), rng.randrange(10**6))
+        if G.m > 12:
+            continue
+        graphs += 1
+        edges = G.sorted_edges()
+
+        def max_degree_left(bits):
+            deg = [0] * G.n
+            for i, (u, v) in enumerate(edges):
+                if not bits >> i & 1:
+                    deg[u] += 1
+                    deg[v] += 1
+            return max(deg)
+
+        for s in (1, 2):
+            for mode in ("all", "maximal"):
+                stream = list(enumerate_removable_sets(G, s, mode))
+                for k in range(G.max_degree() + 1):
+                    got = list(enumerate_removable_sets(G, s, mode, keep=k))
+                    want = [F for F in stream if max_degree_left(F) <= k]
+                    assert got == want, (edges, s, mode, k)
+
+
 def test_maximal_connected_quasi_unicyclic_order5_classification():
     """The edge-maximal connected quasi-unicyclic graphs on 5 vertices are,
     up to isomorphism: the 5-cycle, the 4-cycle with a leaf, and a triangle
