@@ -96,21 +96,20 @@ def validate_result(G: Graph, result: dict) -> None:
             raise CertificateError("certificate omits the clique cover")
         if len(cover) != value:
             raise CertificateError("cover size differs from the value")
-        seen: set[int] = set()
+        members = [v for cls in cover for v in cls]
+        _check_vertices(G, members, "clique cover")
+        if len(members) != G.n:
+            raise CertificateError("cover misses vertices")
         for cls in cover:
-            for u in cls:
-                if u in seen:
-                    raise CertificateError(f"vertex {u} covered twice")
-                seen.add(u)
             for i, u in enumerate(cls):
                 for v in cls[i + 1:]:
                     e = (u, v) if u < v else (v, u)
                     if e not in G.edges or e in F:
                         raise CertificateError(f"cover class pair ({u},{v}) not adjacent after removal")
-        if seen != set(range(G.n)):
-            raise CertificateError("cover misses vertices")
     elif param == "chi_prime":
         coloring = {tuple(sorted(e)): c for e, c in cert["edge_coloring"]}
+        if len(coloring) != len(cert["edge_coloring"]):
+            raise CertificateError("edge coloring lists an edge twice")
         survivors = G.edges - F
         if set(coloring) != set(survivors):
             raise CertificateError("edge coloring does not match the surviving edges")

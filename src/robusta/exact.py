@@ -1004,6 +1004,22 @@ def _chi_prime_robust(G: Graph, s: int):
 _MINIMIZED = {"chi": True, "omega": True, "chi_prime": True, "alpha": False, "theta": False}
 
 
+def _rank_bound(n: int, kept: int, which: str) -> int:
+    """The best value `which` can take on a graph on n vertices with at
+    least `kept` edges, so the best over G - F when every removable F
+    leaves kept = m - rank edges.  An edge that stays joins two vertices,
+    which then share no independent set and split no cover class: alpha
+    and theta are at most n - 1.  It also needs two colours and is a
+    2-clique: chi and omega are at least 2 (at most n).  A colour class of
+    an edge colouring is a matching of at most n // 2 edges: chi' is at
+    least ceil(kept / (n // 2)), phase 2's overfull guard."""
+    if which in ("alpha", "theta"):
+        return n - 1 if kept else n
+    if which == "chi_prime":
+        return -(-kept // max(n // 2, 1))
+    return min(n, 2 if kept else 1)
+
+
 def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
                        edge_cap: int | None) -> ParameterResult:
     """Best classical value over G - F for every F that
@@ -1019,7 +1035,14 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
     clique or star had at least the old best vertices or edges; up for
     alpha and theta, whose cover had at most the old best classes).  Only
     a set that the witness does not decide gets G - F's masks (_minus), and
-    only the winner its edge list."""
+    only the winner its edge list.
+
+    The rank bound ends evaluation early.  The removable sets are the
+    independent sets of a matroid, so every G - F keeps at least m - rank
+    edges, and no set beats _rank_bound(n, m - rank, which).  Once the
+    incumbent equals it, the witness mask becomes 0: the same AND then
+    skips, and still counts, every later set.  A skipped set could at
+    best tie, so the first best set still wins."""
     if which not in ROBUST:
         raise ValueError(f"unknown robust parameter {which!r}")
     t0 = time.perf_counter()
@@ -1028,6 +1051,7 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
     edges = G.sorted_edges()
     adj = G.adjacency_masks()
     bits = _edge_bits(G)
+    ideal = _rank_bound(n, G.m - maximal_extension(G, s).bit_count(), which)
     best = None
     wmask = None  # edge mask of the last witness
     count = 0
@@ -1044,6 +1068,8 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
         val, cert, _ = _classical_kernel(n, masks, which)
         if best is None or (val < best[0] if minimize else val > best[0]):
             best = (val, Fb, cert)
+            if val == ideal:
+                wmask = 0  # nothing beats it: every later set is skipped
     val, Fb, cert = best
     cert["removed_edges"] = _removed_edges(edges, Fb)
     elapsed = (time.perf_counter() - t0) * 1000

@@ -387,6 +387,16 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     of F, each a take decision whose leave branch is still to come, so
     backtracking pops the last one, clears its bit and resumes just past
     it.  The guard caps keep the exponential walk at desk scale.
+
+    Coloops cost no push.  Peeling the vertices of degree <= s, again and
+    again, leaves the (s+1)-core; an edge with a peeled end is `free`.
+    F is removable iff F's core edges are: orient those with out-degree
+    <= s, then orient each free edge of F out of its end peeled first,
+    which had at most s unpeeled edges when it was peeled.  So a free
+    edge is taken with no push (it is in every maximal set), the
+    RemovableSet holds only F's core edges, and backtracking pops only
+    those.  The stream and its order are the same as with a push per
+    edge.
     """
     if mode not in ("all", "maximal"):
         raise ValueError("mode must be 'all' or 'maximal'")
@@ -399,6 +409,18 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     edges = G.sorted_edges()
     m = len(edges)
     floor = maximal_extension(G, s).bit_count() if mode == "maximal" else 0
+    # peel the vertices of degree <= s, repeatedly: what is left is the
+    # (s+1)-core, and an edge with a peeled end is a coloop (`free`)
+    deg = [len(a) for a in G.adj]
+    stack = [v for v in range(G.n) if deg[v] <= s]
+    peeled = set(stack)
+    while stack:
+        for w in G.adj[stack.pop()]:
+            deg[w] -= 1
+            if deg[w] == s and w not in peeled:
+                peeled.add(w)
+                stack.append(w)
+    free = sum(1 << i for i, (u, v) in enumerate(edges) if u in peeled or v in peeled)
     ends = None
     if keep is not None:
         # per edge i, each end's edges up to i as edge bits: leaving edge i
@@ -423,7 +445,7 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
         if len(taken) + m - i >= floor:
             if i == m:
                 yield bits
-            elif push(edges[i]):
+            elif free >> i & 1 or push(edges[i]):
                 taken.append(i)
                 bits |= 1 << i
                 i += 1
@@ -432,8 +454,9 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
                 i += 1
                 continue
         while taken:  # back to the last take whose leave branch is allowed
-            pop()
             i = taken.pop()
+            if not free >> i & 1:
+                pop()
             bits ^= 1 << i
             if ends is None or leaves(i, bits):
                 break

@@ -79,7 +79,7 @@ CASES = [
     ("theta", 1, _set(clique_cover=None), "certificate omits the clique cover"),
     ("theta", 1, _value(1), "cover size differs from the value"),
     ("theta", 1, _both(_set(clique_cover=lambda r: r["certificate"]["clique_cover"] + [[0]]),
-                       _value(1)), "vertex 0 covered twice"),
+                       _value(1)), "clique cover repeats vertex 0"),
     ("theta", 1, _both(_set(clique_cover=[[0, 1], [2], [3], [4]]),
                        lambda r: r.update(value=4)),
      r"cover class pair \(0,1\) not adjacent after removal"),
@@ -177,14 +177,22 @@ def test_certify_main_rejects_bad_removed_set(field, value, message):
     (cycle(5), {"parameter": "arboricity", "s": 0, "value": 2,
                 "certificate": {"forest_partition": [[0, 1, 2, 3], [3, 4]]}},
      "forest partition repeats vertex 3"),
+    (Graph(2, []), {"parameter": "theta", "s": 1, "value": 2,
+                    "certificate": {"removed_edges": [], "clique_cover": [[0], [True]]}},
+     "clique cover names True, not a vertex of the graph"),
+    (path(3), {"parameter": "chi_prime", "s": 1, "value": 2,
+               "certificate": {"removed_edges": [],
+                               "edge_coloring": [[[0, 1], 1], [[0, 1], 0], [[1, 2], 1]]}},
+     "edge coloring lists an edge twice"),
 ], ids=["alpha-repeated", "alpha-out-of-range", "omega-out-of-range",
         "omega-empty-graph", "iota-out-of-range", "chi-partition-repeated",
-        "arboricity-repeated"])
+        "arboricity-repeated", "theta-cover-names-a-bool", "chi-prime-repeated-edge"])
 def test_vertex_lists_name_distinct_vertices(graph, result, message):
-    """A clique, independent set, inducing set or the classes of a partition
-    that repeat a vertex or name one outside 0..n-1 are invalid, even where
-    their pairs and their size would pass: validate_result raises and
-    certify exits 2."""
+    """A clique, independent set, inducing set, the classes of a partition
+    or of a clique cover, or the edges of an edge colouring, that repeat a
+    vertex or an edge or name a vertex outside 0..n-1 (True is not 1) are
+    invalid, even where their pairs and their size would pass:
+    validate_result raises and certify exits 2."""
     with pytest.raises(CertificateError, match=message):
         validate_result(graph, result)
     code, out, err = _certify(result, graph)

@@ -12,9 +12,9 @@ from robusta import exact
 from robusta.certify import CertificateError, validate_result
 from robusta.exact import (SolverCaps, _bits, _cannot_beat, _classical_kernel,
                            _clique_partition_targets, _cliques_of_size, _edge_bits,
-                           _hit_all_targets, _min_max_degree, _minus)
+                           _hit_all_targets, _min_max_degree, _minus, _rank_bound)
 from robusta.filters import nonisomorphic_graphs
-from robusta.selection import enumerate_removable_sets
+from robusta.selection import enumerate_removable_sets, maximal_extension
 
 PARAMS = ("chi", "omega", "alpha", "theta", "chi_prime")
 
@@ -345,6 +345,30 @@ def test_skipping_sets_keeps_the_first_best_set():
                     assert got == _plain_enumerated(G, which, s, mode), (seed, s, which, mode)
                     checked += 1
     assert checked >= 200
+
+
+def test_rank_bound_is_never_beaten_and_is_met():
+    """No removable F gives a value past _rank_bound(n, m - rank, which),
+    the value at which the enumeration tiers stop evaluating, and for every
+    parameter some graph meets it where no edge must stay and some where
+    one must."""
+    met = set()
+    for seed in range(40):
+        G = erdos_renyi(2 + seed % 6, [0.3, 0.5, 0.7, 0.9][seed % 4], seed)
+        if G.m > 9:
+            continue
+        edges, adj = G.sorted_edges(), G.adjacency_masks()
+        for s in (1, 2):
+            kept = G.m - maximal_extension(G, s).bit_count()
+            for which in PARAMS:
+                minimize = which in ("chi", "omega", "chi_prime")
+                bound = _rank_bound(G.n, kept, which)
+                for F in enumerate_removable_sets(G, s, "all"):
+                    val = _classical_kernel(G.n, _minus(adj, edges, F), which)[0]
+                    assert (val >= bound if minimize else val <= bound), (seed, s, which, F)
+                    if val == bound:
+                        met.add((which, kept > 0))
+    assert met == {(which, must) for which in PARAMS for must in (False, True)}
 
 
 def test_maximal_tier_agreement():

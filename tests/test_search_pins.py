@@ -334,6 +334,27 @@ def test_oracle_reuses_cannot_beat_witnesses(monkeypatch, which, s):
     assert 4 * len(calls) <= sets, (len(calls), sets)
 
 
+@pytest.mark.parametrize("which", ("chi", "omega", "alpha", "theta", "chi_prime"))
+def test_rank_bound_ends_evaluation(monkeypatch, which):
+    """At s = 2 every bench-shaped graph is wholly removable, so the first
+    set, E, leaves the edgeless graph, whose value meets the rank bound:
+    both enumeration tiers skip every later set with no call to the
+    bounds."""
+    calls = []
+    bound = exact._cannot_beat
+
+    def counted(*args):
+        calls.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(exact, "_cannot_beat", counted)
+    for spec in BENCH_SHAPED_GRAPHS:
+        G = _bench_shaped(*spec)
+        for tier in (oracle_robust, robust_via_maximal):
+            assert tier(G, which, 2).stats["nodes"] >= 1
+    assert calls == []
+
+
 @pytest.mark.parametrize("s", sorted(DEEP_CHI_PRIME_PINNED))
 def test_deep_chi_prime_walks_are_pinned(s):
     """Phase 2 of chi'_s on walks large enough that its degree prune and

@@ -356,15 +356,20 @@ def _recursive_walk(G, s, mode):
 
 def test_enumerate_walks_in_the_recursive_order():
     """The one-loop walk yields the recursive walk's sets in its order, at
-    s = 0, 1, 2 in both modes, and still refuses graphs over the edge cap."""
+    s = 0, 1, 2 in both modes, and still refuses graphs over the edge cap.
+    Besides random graphs: a tree, whose (s+1)-core is empty at s >= 1, so
+    every edge is a coloop; K4 with a pendant path, whose core is the K4;
+    and K5, whose core is all of it."""
     rng = random.Random(2024)
-    graphs = 0
-    while graphs < 200:
+    tree = Graph(8, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6), (5, 7)])
+    k4_path = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)])
+    graphs = [tree, k4_path, complete(5)]
+    while len(graphs) < 203:
         n = rng.randint(0, 8)
         G = erdos_renyi(n, rng.choice((0.2, 0.4, 0.6, 0.8)), rng.randrange(10**6))
-        if G.m > 14:
-            continue
-        graphs += 1
+        if G.m <= 14:
+            graphs.append(G)
+    for G in graphs:
         for s in (0, 1, 2):
             for mode in ("all", "maximal"):
                 got = list(removable_edge_sets(G, s, mode))
@@ -373,6 +378,24 @@ def test_enumerate_walks_in_the_recursive_order():
     for mode in ("all", "maximal"):
         with pytest.raises(ValueError, match="enumeration guard"):
             list(enumerate_removable_sets(G, 1, mode, edge_cap=G.m - 1))
+
+
+def test_walk_takes_coloops_without_a_push(monkeypatch):
+    """An edge with an end outside the (s+1)-core is in every maximal
+    removable set, so mode 'all' takes it with no push: on graphs whose
+    (s+1)-core is empty it pushes nothing and yields all 2^m sets."""
+    pushes = []
+    push = RemovableSet.push
+
+    def counted(self, e):
+        pushes.append(e)
+        return push(self, e)
+
+    monkeypatch.setattr(RemovableSet, "push", counted)
+    k4_minus_edge = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    for G, s in ((path(7), 1), (star(6), 1), (cycle(6), 2), (k4_minus_edge, 2)):
+        assert len(list(enumerate_removable_sets(G, s, "all"))) == 2 ** G.m
+    assert pushes == []
 
 
 def test_enumerate_keep_filters_by_max_degree_of_what_stays():
