@@ -19,13 +19,25 @@ class CertificateError(ValueError):
     pass
 
 
-def _check_removed(G: Graph, cert: dict, s: int) -> frozenset:
+def _check_ends(pairs, what: str) -> None:
+    """Raise unless each end of `pairs` is an int ((0, True) == (0, 1))."""
+    bad = [v for e in pairs for v in e if type(v) is not int]
+    if bad:
+        raise CertificateError(f"{what} names {bad[0]!r}, not a vertex of the graph")
+
+
+def _check_removed(G: Graph, cert: dict, s: int) -> set:
     if type(s) is not int or s < 0:
         raise CertificateError(f"budget {s!r} is not a non-negative integer")
-    F = frozenset(tuple(sorted(e)) for e in cert.get("removed_edges", []))
-    for e in F:
+    F: set = set()
+    for e in cert.get("removed_edges", []):
+        e = tuple(sorted(e))
         if e not in G.edges:
             raise CertificateError(f"removed pair {list(e)} is not an edge of the graph")
+        if e in F:
+            raise CertificateError(f"removed edges repeat edge {e[0]}-{e[1]}")
+        F.add(e)
+    _check_ends(F, "removed pair")
     if s == 0:
         if F:
             raise CertificateError("classical certificate removes edges")
@@ -108,6 +120,7 @@ def validate_result(G: Graph, result: dict) -> None:
                         raise CertificateError(f"cover class pair ({u},{v}) not adjacent after removal")
     elif param == "chi_prime":
         coloring = {tuple(sorted(e)): c for e, c in cert["edge_coloring"]}
+        _check_ends(coloring, "edge coloring pair")
         if len(coloring) != len(cert["edge_coloring"]):
             raise CertificateError("edge coloring lists an edge twice")
         survivors = G.edges - F

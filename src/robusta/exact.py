@@ -5,10 +5,11 @@ scale (the defaults below), and a brute-force oracle tier that enumerates
 every removable edge set on small instances.  The oracle is deliberately
 dumb; the test suite uses it to certify the clever searches.  The oracle and
 the maximal-set tier run one evaluation loop and differ only in the
-enumeration mode.  Every "is F + e still removable" test, in every tier and
-at every budget s, goes through `selection.RemovableSet`, one incremental
-orientation, by push and pop; the partition searches keep one such state
-per class, and arboricity keeps a `UnionFind` forest per class instead.
+enumeration mode and the edge cap their front ends check.  Every "is F + e
+still removable" test, in every tier and at every budget s, goes through
+`selection.RemovableSet`, one incremental orientation, by push and pop; the
+partition searches keep one such state per class, and arboricity keeps a
+`UnionFind` forest per class instead.
 
 Strategy notes for the robust (selection-adversarial) parameters:
 
@@ -73,8 +74,8 @@ class SolverCaps:
 
 DEFAULT_CAPS = SolverCaps()
 
-CLASSICAL = ("chi", "omega", "alpha", "theta", "chi_prime", "arboricity", "degeneracy")
 ROBUST = ("chi", "omega", "alpha", "theta", "chi_prime")
+MAXIMAL_EDGES = 24  # most edges robust_via_maximal takes; a constant, not a cap
 
 
 @dataclass
@@ -98,11 +99,10 @@ def _bits(mask: int):
 # ---------------------------------------------------------------------------
 
 
-def _max_clique(n: int, masks: list[int], floor: int = 0):
-    """Largest clique via branch and bound with a greedy coloring bound.
-    Only cliques larger than `floor` count: with none, the clique is []."""
+def _max_clique(n: int, masks: list[int]):
+    """Largest clique via branch and bound with a greedy coloring bound."""
     best_mask = 0
-    best_size = floor
+    best_size = 0
     nodes = 0
 
     def expand(rmask, rsize, pmask):
@@ -163,9 +163,8 @@ def _dsatur(n: int, masks: list[int]) -> list[int]:
 
 
 def _k_coloring(n: int, masks: list[int], k: int, clique: list[int]):
-    """Backtracking k-coloring decision with the clique precolored."""
-    if len(clique) > k:
-        return None, 0
+    """Backtracking k-coloring decision with the clique, of at most k
+    vertices, precolored."""
     color = [-1] * n
     for i, v in enumerate(clique):
         color[v] = i
@@ -457,43 +456,35 @@ def _class_edges(bits: list[dict[int, int]], classes) -> int:
 
 
 def _cannot_beat(n: int, masks: list[int], which: str, best: int,
-                 bits: list[dict[int, int]]):
-    """(decided, witness) for the graph with adjacency masks `masks`, a
-    subgraph of G on G's vertices, and the incumbent `best >= 0`.  decided
-    is True when classical bounds show that `which` cannot strictly beat
-    best: cannot go below it for chi, omega and chi_prime, nor above it for
-    alpha and theta.  False means only that the bounds did not decide.
+                 bits: list[dict[int, int]]) -> int | None:
+    """A witness that `which` cannot strictly beat the incumbent `best >= 0`
+    on the graph with adjacency masks `masks`, a subgraph of G on G's
+    vertices: cannot go below best for chi, omega and chi_prime, nor above
+    it for alpha and theta.  None means only that the bounds, all greedy,
+    did not decide; the caller then runs the classical kernel.
 
-    A witness is an edge mask over `bits` (_edge_bits(G)) such that the
+    The witness is an edge mask over `bits` (_edge_bits(G)) such that the
     same bound decides every subgraph of G that keeps all of its edges:
       chi, omega    the edges of a clique of at least best vertices (greedy);
       alpha, theta  the edges inside the classes of a cover by at most best
-                    cliques (DSATUR on the complement; for theta, else an
-                    exact best-colouring);
-      chi_prime     the star of a vertex of degree at least best.
-    alpha's exact fallback, a clique search on the complement, decides
-    with witness None."""
+                    cliques (DSATUR on the complement);
+      chi_prime     the star of a vertex of degree at least best."""
     if which in ("chi", "omega"):
         clique = _greedy_clique(n, masks)
         if len(clique) < best:
-            return False, None
-        return True, _class_edges(bits, [sum(1 << v for v in clique)])
+            return None
+        return _class_edges(bits, [sum(1 << v for v in clique)])
     if which == "chi_prime":
         for v, row in enumerate(masks):
             if row.bit_count() >= best:
-                return True, sum(bits[v][u] for u in _bits(row))
-        return best == 0, None  # no vertices: the value is 0
+                return sum(bits[v][u] for u in _bits(row))
+        return 0 if best == 0 else None  # no vertices: the value is 0
     if which not in ("alpha", "theta"):
         raise ValueError(f"unknown robust parameter {which!r}")
-    comp = _complement_masks(n, masks)
-    coloring = _dsatur(n, comp)
+    coloring = _dsatur(n, _complement_masks(n, masks))
     if max(coloring, default=-1) >= best:  # more than best colours
-        if which == "alpha":
-            return not _max_clique(n, comp, floor=best)[0], None
-        coloring = _k_coloring(n, comp, best, _greedy_clique(n, comp))[0]
-        if coloring is None:
-            return False, None
-    return True, _class_edges(bits, _color_classes(coloring))
+        return None
+    return _class_edges(bits, _color_classes(coloring))
 
 
 def classical_parameter(G: Graph, which: str, caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
@@ -980,10 +971,9 @@ def _chi_prime_robust(G: Graph, s: int):
     F = F1
     # every maximal set keeps m - rank edges in G - F; above D* * (n // 2)
     # none is D*-edge-colourable (the kernel's overfull test), else walk the
-    # maximal sets whose G - F keeps max degree D*.  robust_n bounds the
-    # walk, so the enumeration tiers' edge guard is lifted (edge_cap=m)
+    # maximal sets whose G - F keeps max degree D*
     if value > dstar and m - F1.bit_count() <= dstar * (n // 2):
-        for F2 in enumerate_removable_sets(G, s, "maximal", edge_cap=m, keep=dstar):
+        for F2 in enumerate_removable_sets(G, s, "maximal", keep=dstar):
             nodes += 1
             if F2 == F1:
                 continue
@@ -1020,12 +1010,11 @@ def _rank_bound(n: int, kept: int, which: str) -> int:
     return min(n, 2 if kept else 1)
 
 
-def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
-                       edge_cap: int | None) -> ParameterResult:
+def _enumerated_robust(G: Graph, which: str, s: int, mode: str) -> ParameterResult:
     """Best classical value over G - F for every F that
-    enumerate_removable_sets streams in `mode`; stats.nodes counts the sets.
-    The first F with the best value wins; a set that _cannot_beat the
-    incumbent is counted but not evaluated.
+    enumerate_removable_sets streams in `mode` (the callers bound m);
+    stats.nodes counts the sets.  The first F with the best value wins; a
+    set that _cannot_beat the incumbent is counted but not evaluated.
 
     F arrives as an edge-bit int over G.sorted_edges().  The last witness
     _cannot_beat returned, an edge mask over the same index, is checked
@@ -1039,10 +1028,11 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
 
     The rank bound ends evaluation early.  The removable sets are the
     independent sets of a matroid, so every G - F keeps at least m - rank
-    edges, and no set beats _rank_bound(n, m - rank, which).  Once the
-    incumbent equals it, the witness mask becomes 0: the same AND then
-    skips, and still counts, every later set.  A skipped set could at
-    best tie, so the first best set still wins."""
+    edges, and no set beats _rank_bound(n, m - rank, which); the walk's
+    first set is its greedy maximal one, so its size is the rank.  Once the
+    incumbent equals the bound, the witness mask becomes 0: the same AND
+    skips, and counts, every later set.  A skipped set could at best tie,
+    so the first best set still wins."""
     if which not in ROBUST:
         raise ValueError(f"unknown robust parameter {which!r}")
     t0 = time.perf_counter()
@@ -1051,19 +1041,20 @@ def _enumerated_robust(G: Graph, which: str, s: int, mode: str,
     edges = G.sorted_edges()
     adj = G.adjacency_masks()
     bits = _edge_bits(G)
-    ideal = _rank_bound(n, G.m - maximal_extension(G, s).bit_count(), which)
     best = None
     wmask = None  # edge mask of the last witness
     count = 0
-    for Fb in enumerate_removable_sets(G, s, mode, edge_cap=edge_cap):
+    for Fb in enumerate_removable_sets(G, s, mode):
         count += 1
         if wmask is not None and not Fb & wmask:
             continue
         masks = _minus(adj, edges, Fb)
-        if best is not None:
-            decided, found = _cannot_beat(n, masks, which, best[0], bits)
-            wmask = wmask if found is None else found
-            if decided:
+        if best is None:  # the first set
+            ideal = _rank_bound(n, G.m - Fb.bit_count(), which)
+        else:
+            found = _cannot_beat(n, masks, which, best[0], bits)
+            if found is not None:
+                wmask = found
                 continue
         val, cert, _ = _classical_kernel(n, masks, which)
         if best is None or (val < best[0] if minimize else val > best[0]):
@@ -1081,13 +1072,14 @@ def oracle_robust(G: Graph, which: str, s: int,
                   caps: SolverCaps = DEFAULT_CAPS) -> ParameterResult:
     """Exhaustive enumeration over every removable set; the test oracle."""
     _require(G.m <= caps.oracle_edges, "oracle", G.m, caps.oracle_edges, "edge count")
-    return _enumerated_robust(G, which, s, "all", caps.oracle_edges)
+    return _enumerated_robust(G, which, s, "all")
 
 
 def robust_via_maximal(G: Graph, which: str, s: int) -> ParameterResult:
     """Generic solver over inclusion-maximal removable sets (monotonicity:
     removing more edges never hurts the objective)."""
-    return _enumerated_robust(G, which, s, "maximal", None)
+    _require(G.m <= MAXIMAL_EDGES, "maximal", G.m, MAXIMAL_EDGES, "edge count")
+    return _enumerated_robust(G, which, s, "maximal")
 
 
 def robust_parameter(G: Graph, which: str, s: int,

@@ -365,12 +365,7 @@ def maximal_extension(G: Graph, s: int, F: int = 0) -> int:
     return held
 
 
-DEFAULT_ENUM_ALL_EDGE_CAP = 20
-DEFAULT_ENUM_MAXIMAL_EDGE_CAP = 24
-
-
 def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
-                             edge_cap: int | None = None,
                              keep: int | None = None) -> Iterator[int]:
     """Stream the removable edge sets of G at budget s, each as an edge-bit
     int: bit i is set when F holds edge i of G.sorted_edges().
@@ -386,7 +381,9 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
     bits.  The tree is walked in one loop: `taken` holds the edge indices
     of F, each a take decision whose leave branch is still to come, so
     backtracking pops the last one, clears its bit and resumes just past
-    it.  The guard caps keep the exponential walk at desk scale.
+    it.  Callers bound m.  Without `keep` the first set is the greedy
+    maximal_extension(G, s) in both modes: the first descent takes every
+    edge a push accepts, and the rank prune cannot fire on it.
 
     Coloops cost no push.  Peeling the vertices of degree <= s, again and
     again, leaves the (s+1)-core; an edge with a peeled end is `free`.
@@ -402,10 +399,6 @@ def enumerate_removable_sets(G: Graph, s: int, mode: str = "all",
         raise ValueError("mode must be 'all' or 'maximal'")
     if s < 0:
         raise ValueError("budget must be non-negative")
-    cap = edge_cap if edge_cap is not None else (
-        DEFAULT_ENUM_ALL_EDGE_CAP if mode == "all" else DEFAULT_ENUM_MAXIMAL_EDGE_CAP)
-    if G.m > cap:
-        raise ValueError(f"graph has {G.m} edges, enumeration guard is {cap}")
     edges = G.sorted_edges()
     m = len(edges)
     floor = maximal_extension(G, s).bit_count() if mode == "maximal" else 0

@@ -184,15 +184,33 @@ def test_certify_main_rejects_bad_removed_set(field, value, message):
                "certificate": {"removed_edges": [],
                                "edge_coloring": [[[0, 1], 1], [[0, 1], 0], [[1, 2], 1]]}},
      "edge coloring lists an edge twice"),
+    (path(3), {"parameter": "alpha", "s": 1, "value": 3,
+               "certificate": {"removed_edges": [[0, True], [True, 2]],
+                               "independent_set": [0, 1, 2]}},
+     "removed pair names True, not a vertex of the graph"),
+    (cycle(5), {"parameter": "chi", "s": 1, "value": 1,
+                "certificate": {"removed_edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4],
+                                                  [1, 2]],
+                                "coloring": [0, 0, 0, 0, 0]}},
+     "removed edges repeat edge 1-2"),
+    (cycle(4), {"parameter": "omega", "s": 1, "value": 1,
+                "certificate": {"removed_edges": [[0, 1], [1, 0]], "clique": [0]}},
+     "removed edges repeat edge 0-1"),
+    (path(3), {"parameter": "chi_prime", "s": 1, "value": 2,
+               "certificate": {"removed_edges": [],
+                               "edge_coloring": [[[0, True], 0], [[True, 2], 1]]}},
+     "edge coloring pair names True, not a vertex of the graph"),
 ], ids=["alpha-repeated", "alpha-out-of-range", "omega-out-of-range",
         "omega-empty-graph", "iota-out-of-range", "chi-partition-repeated",
-        "arboricity-repeated", "theta-cover-names-a-bool", "chi-prime-repeated-edge"])
+        "arboricity-repeated", "theta-cover-names-a-bool", "chi-prime-repeated-edge",
+        "removed-pair-names-a-bool", "removed-edge-repeated",
+        "removed-edge-repeated-reversed", "chi-prime-pair-names-a-bool"])
 def test_vertex_lists_name_distinct_vertices(graph, result, message):
     """A clique, independent set, inducing set, the classes of a partition
-    or of a clique cover, or the edges of an edge colouring, that repeat a
-    vertex or an edge or name a vertex outside 0..n-1 (True is not 1) are
-    invalid, even where their pairs and their size would pass:
-    validate_result raises and certify exits 2."""
+    or of a clique cover, the removed edges, or the edges of an edge
+    colouring, that repeat a vertex or an edge or name a vertex outside
+    0..n-1 (True is not 1) are invalid, even where their pairs and their
+    size would pass: validate_result raises and certify exits 2."""
     with pytest.raises(CertificateError, match=message):
         validate_result(graph, result)
     code, out, err = _certify(result, graph)

@@ -525,6 +525,14 @@ def test_oracle_cap_error_names_the_edge_count(capsys):
     assert "error: oracle: edge count 21 exceeds cap 18" in capsys.readouterr().err
 
 
+def test_maximal_cap_error_names_the_edge_count(capsys):
+    code, report = run_cli(["compute", "--gen", "complete:8", "--param", "chi",
+                            "--s", "1", "--engine", "maximal", "--no-timing"])
+    assert code == 3 and report is None
+    err = capsys.readouterr().err
+    assert err == "error: maximal: edge count 28 exceeds cap 24\n", err
+
+
 @pytest.mark.parametrize("s", ["1", "2"])
 def test_engines_agree_on_every_param_token(s):
     """Every --param token through exact, oracle and maximal gives the same

@@ -69,6 +69,19 @@ def test_robust_omega_uses_the_callers_caps():
     assert res.value == 2  # 24 edges exceed the 21 that s = 1 can remove
 
 
+def test_enumeration_tiers_guard_the_edge_count_at_their_front_ends():
+    """The oracle reads its edge cap from the caps it is given, and the
+    maximal tier refuses more than MAXIMAL_EDGES edges before it walks."""
+    K7 = complete(7)  # 21 edges
+    with pytest.raises(CapExceeded, match="oracle: edge count 21 exceeds cap 18"):
+        oracle_robust(K7, "chi", 0)
+    res = oracle_robust(K7, "chi", 0, SolverCaps(oracle_edges=21))
+    assert (res.value, res.stats["nodes"]) == (7, 1)
+    validate_result(K7, as_dict(res))
+    with pytest.raises(CapExceeded, match="maximal: edge count 28 exceeds cap 24"):
+        robust_via_maximal(complete(8), "chi", 1)
+
+
 def test_robust_chromatic_known_values():
     assert robust_chromatic(complete(7)).value == 3
     assert robust_chromatic(cycle(4)).value == 1
@@ -224,7 +237,7 @@ def test_cannot_beat_is_sound_on_all_small_graphs():
                 value = _classical_kernel(n, masks, which)[0]
                 minimize = which in ("chi", "omega", "chi_prime")
                 for best in range(n + 2):
-                    skip, _ = _cannot_beat(n, masks, which, best, bits)
+                    skip = _cannot_beat(n, masks, which, best, bits) is not None
                     beats = value < best if minimize else value > best
                     assert not (skip and beats), (G.sorted_edges(), which, best)
                     if (best == 0) if minimize else (best >= n):
@@ -232,22 +245,25 @@ def test_cannot_beat_is_sound_on_all_small_graphs():
 
 
 def test_cannot_beat_witnesses_are_cliques():
-    """A witness that the skip test returns comes with a decision and holds
-    in the graph: it is an edge mask over G.sorted_edges().  For chi and
-    omega its edges are those of one clique of at least `best` vertices;
-    for alpha and theta those inside the classes of a cover of every
-    vertex, once, by at most `best` disjoint cliques; for chi_prime those
-    of one star of at least `best` edges."""
+    """A witness that the skip test returns is a decision (the kernel value
+    does not beat `best`) and holds in the graph: it is an edge mask over
+    G.sorted_edges().  For chi and omega its edges are those of one clique
+    of at least `best` vertices; for alpha and theta those inside the
+    classes of a cover of every vertex, once, by at most `best` disjoint
+    cliques; for chi_prime those of one star of at least `best` edges."""
     for n in range(7):
         for G in nonisomorphic_graphs(n):
             masks, bits = G.adjacency_masks(), _edge_bits(G)
             edges = G.sorted_edges()
             for which in PARAMS:
+                value = _classical_kernel(n, masks, which)[0]
+                minimize = which in ("chi", "omega", "chi_prime")
                 for best in range(n + 2):
-                    decided, witness = _cannot_beat(n, masks, which, best, bits)
+                    witness = _cannot_beat(n, masks, which, best, bits)
                     if witness is None:
                         continue
                     where = (edges, which, best, witness)
+                    decided = value >= best if minimize else value <= best
                     assert decided, where
                     assert witness >> len(edges) == 0, where
                     held = [edges[i] for i in _bits(witness)]
@@ -283,6 +299,23 @@ def test_cannot_beat_witnesses_are_cliques():
                         assert which in ("alpha", "theta") and len(classes) <= best, where
 
 
+def test_cannot_beat_runs_no_exact_search(monkeypatch):
+    """The skip test is bounds only: it never runs the clique search or the
+    colouring decision, which the classical kernel runs when it returns
+    None."""
+    def refuse(*args, **kw):
+        raise AssertionError("_cannot_beat ran an exact search")
+
+    monkeypatch.setattr(exact, "_max_clique", refuse)
+    monkeypatch.setattr(exact, "_k_coloring", refuse)
+    for n in range(7):
+        for G in nonisomorphic_graphs(n):
+            masks, bits = G.adjacency_masks(), _edge_bits(G)
+            for which in PARAMS:
+                for best in range(n + 2):
+                    _cannot_beat(n, masks, which, best, bits)
+
+
 def test_witness_edge_mask_skips_only_sets_it_decides():
     """The enumeration tiers skip a set F that takes no edge of the last
     witness's edge mask.  That is sound: for every witness _cannot_beat
@@ -302,7 +335,7 @@ def test_witness_edge_mask_skips_only_sets_it_decides():
                 minimize = which in ("chi", "omega", "chi_prime")
                 value = {F: _classical_kernel(n, masks, which)[0] for F, masks in removed}
                 witnesses = {(w, best) for _, masks in removed for best in range(n + 2)
-                             for w in [_cannot_beat(n, masks, which, best, bits)[1]]
+                             for w in [_cannot_beat(n, masks, which, best, bits)]
                              if w is not None}
                 for w, best in witnesses:
                     for F, _ in removed:

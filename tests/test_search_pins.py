@@ -29,7 +29,7 @@ from robusta import (Graph, classical_parameter, complete, cycle, dp_robust,
                      erdos_renyi, heuristic_decomposition, iota, make_nice,
                      maximal_outerplanar, oracle_robust, robust_parameter,
                      robust_via_maximal)
-from robusta import exact
+from robusta import exact, selection
 from robusta.exact import (_bits, _complement_masks, _edge_bits, _edge_coloring_decision,
                            _minus)
 from robusta.selection import maximal_extension
@@ -353,6 +353,29 @@ def test_rank_bound_ends_evaluation(monkeypatch, which):
         for tier in (oracle_robust, robust_via_maximal):
             assert tier(G, which, 2).stats["nodes"] >= 1
     assert calls == []
+
+
+@pytest.mark.parametrize("s", (1, 2))
+def test_enumeration_tiers_read_the_rank_off_the_first_set(monkeypatch, s):
+    """The rank bound reads the rank off the first set the walk yields, the
+    greedy maximal set, so per solve the oracle grows no maximal set and
+    the maximal tier only the one its walk's rank prune needs."""
+    grown = []
+    grow = selection.maximal_extension
+
+    def counted(*args):
+        grown.append(args)
+        return grow(*args)
+
+    monkeypatch.setattr(selection, "maximal_extension", counted)
+    monkeypatch.setattr(exact, "maximal_extension", counted)
+    for spec in BENCH_SHAPED_GRAPHS:
+        G = _bench_shaped(*spec)
+        for which in ("chi", "omega", "alpha", "theta", "chi_prime"):
+            for tier, calls in ((oracle_robust, 0), (robust_via_maximal, 1)):
+                grown.clear()
+                tier(G, which, s)
+                assert len(grown) == calls, (spec, which, tier.__name__)
 
 
 @pytest.mark.parametrize("s", sorted(DEEP_CHI_PRIME_PINNED))

@@ -327,12 +327,6 @@ def test_enumerate_maximal_is_all_filtered_to_unextendable_sets():
             assert all(len(F) == rank for F in got), (G.sorted_edges(), s)
 
 
-def test_enumerate_guard():
-    big = complete(8)  # 28 edges
-    with pytest.raises(ValueError):
-        list(enumerate_removable_sets(big, 1, "all"))
-
-
 def _recursive_walk(G, s, mode):
     """The take-then-leave walk as nested generators: the reference order."""
     edges = G.sorted_edges()
@@ -356,7 +350,8 @@ def _recursive_walk(G, s, mode):
 
 def test_enumerate_walks_in_the_recursive_order():
     """The one-loop walk yields the recursive walk's sets in its order, at
-    s = 0, 1, 2 in both modes, and still refuses graphs over the edge cap.
+    s = 0, 1, 2 in both modes, and its first set is the greedy maximal
+    one, whose size the enumeration tiers read as the rank.
     Besides random graphs: a tree, whose (s+1)-core is empty at s >= 1, so
     every edge is a coloop; K4 with a pendant path, whose core is the K4;
     and K5, whose core is all of it."""
@@ -374,10 +369,8 @@ def test_enumerate_walks_in_the_recursive_order():
             for mode in ("all", "maximal"):
                 got = list(removable_edge_sets(G, s, mode))
                 assert got == list(_recursive_walk(G, s, mode)), (G.sorted_edges(), s, mode)
-    G = erdos_renyi(8, 0.6, 1)
-    for mode in ("all", "maximal"):
-        with pytest.raises(ValueError, match="enumeration guard"):
-            list(enumerate_removable_sets(G, 1, mode, edge_cap=G.m - 1))
+                first = next(enumerate_removable_sets(G, s, mode))
+                assert first == maximal_extension(G, s), (G.sorted_edges(), s, mode)
 
 
 def test_walk_takes_coloops_without_a_push(monkeypatch):
